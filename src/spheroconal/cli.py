@@ -13,8 +13,9 @@ Three subcommands share one asymmetry-input convention (``--e1`` or
 * ``verify`` runs the structural invariant suite and reports pass/fail
   per invariant.
 
-Exit codes: 0 success, 1 failed invariant, 2 bad parameters, 3 oracle
-residual above threshold.
+Exit codes: 0 success, 1 failed invariant or numerical failure (the
+message names the exception class), 2 bad parameters, 3 oracle residual
+above threshold.
 
 All reals are printed with 17 significant digits so a JSON or CSV file
 round-trips to the exact double. The stdlib json encoder delegates float
@@ -533,9 +534,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_ladder(run)
         return cmd_verify(run, getattr(args, "inject_fault", False))
     except SpheroconalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

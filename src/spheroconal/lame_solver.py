@@ -6,17 +6,21 @@ For each degree l and species prefactor, the operator
 the eigenvalues h and the recurrence-normalized coefficient vectors
 (leading coefficient fixed to 1) define the polynomial solutions used to
 assemble the two-coordinate harmonics.
+
+That matrix is badly non-normal at high degree, so the eigenvalues come
+instead from the same spectrum in a well-conditioned form: the h of a
+species are the eigenvalues of one real symmetric Wang block of
+Lx^2 + k^2 Ly^2 (Wang 1929; King, Hainer & Cross 1943), each rounded to
+the nearest float by exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import math
-
-import mpmath
 import numpy as np
 
 from .errors import DegenerateEigenvalues, WrongKind
@@ -125,175 +129,71 @@ def _coefficients(mat: np.ndarray, h: float) -> tuple[float, ...]:
     return tuple(a)
 
 
-# Dyadic interpolation nodes at which the float matrix pipeline is exact,
-# plus an extra node guarding the assumed degree bound in k^2.
-_KSQ_NODES = (
-    Fraction(0),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(3, 4),
-    Fraction(1),
-)
-_KSQ_GUARD = Fraction(1, 8)
+def _wang_block(ell: int, species: Species, ksq: float) -> tuple[list[int], list[int], int]:
+    """The species block of Lx^2 + ksq Ly^2, whose eigenvalues are the h.
 
+    In |l, m> the operator is ((1+k)/2)(l(l+1) - m^2) + ((1-k)/4)(L+^2 + L-^2)
+    with k = ksq, real symmetric and tridiagonal in steps of two in m. The
+    Wang combinations (|K> + sigma |-K>)/sqrt 2, K >= 0, split it into four
+    blocks by the D2 characters that the prefactor letters carry (dn, cn, sn
+    are odd in x, y, z): K is odd when exactly one of dn and cn is present,
+    and sigma = (-1)^l p_y p_z with p_y = -1 if cn is present, p_z = -1 if sn
+    is present; K = 0 exists only for sigma = +1.
 
-@lru_cache(maxsize=None)
-def _entry_polynomials(ell: int, species: Species) -> tuple:
-    """Every matrix entry as an exact polynomial in k^2.
-
-    The eigenvalue problem is badly non-normal at large degree, where even
-    the last-bit rounding of entries built at a generic k^2 moves the
-    eigenvalues by a million times machine epsilon. Entries are low-degree
-    polynomials in k^2 with rational coefficients, and the float pipeline
-    evaluated at small dyadic k^2 is exact (every intermediate is a modest
-    dyadic rational), so interpolation through dyadic nodes recovers those
-    polynomials exactly without a parallel symbolic implementation. The
-    guard node catches any violation of the assumed degree bound.
+    ksq is a binary fraction num/den, so with scale = 4 den the scaled
+    diagonal and squared off-diagonal entries are integers. Returns
+    (diagonal, squared off-diagonal, scale).
     """
-    n = matrix_size(ell, species)
-    if n == 0:
-        return ()
-    mats = [build_matrix(ell, species, float(x)) for x in _KSQ_NODES]
-    lagrange = []
-    for i, xi in enumerate(_KSQ_NODES):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(_KSQ_NODES):
-            if j == i:
-                continue
-            out = [Fraction(0)] * (len(num) + 1)
-            for d, a in enumerate(num):
-                out[d] -= a * xj
-                out[d + 1] += a
-            num = out
-            den *= xi - xj
-        lagrange.append([a / den for a in num])
-    guard = build_matrix(ell, species, float(_KSQ_GUARD))
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            poly = [Fraction(0)] * len(_KSQ_NODES)
-            for mat, lag in zip(mats, lagrange):
-                v = Fraction(mat[r, c])
-                for d, a in enumerate(lag):
-                    poly[d] += v * a
-            probe = sum(a * _KSQ_GUARD**d for d, a in enumerate(poly))
-            if probe != Fraction(guard[r, c]):
-                raise AssertionError(
-                    f"entry ({r},{c}) of degree {ell} species {species.tag(1)!r} "
-                    "is not the assumed low-degree polynomial in k^2"
-                )
-            row.append(tuple(poly))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _exact_matrix(ell: int, species: Species, ksq: float) -> list:
-    """Entries at the exact rational image of the (binary) float ksq."""
-    entries = _entry_polynomials(ell, species)
-    big_k = Fraction(ksq)
-    powers = [big_k**d for d in range(len(_KSQ_NODES))]
-    return [
-        [sum(a * powers[d] for d, a in enumerate(cell)) for cell in row]
-        for row in entries
+    num, den = float(ksq).as_integer_ratio()
+    half_plus, quarter_minus = 2 * (den + num), den - num  # scale (1+k)/2, scale (1-k)/4
+    c = ell * (ell + 1)
+    sigma = (-1) ** (ell + species.has_c + species.has_s)
+    first = 1 if species.has_d != species.has_c else (0 if sigma > 0 else 2)
+    ks = range(first, ell + 1, 2)
+    diag = [half_plus * (c - k * k) + (sigma * quarter_minus * c if k == 1 else 0) for k in ks]
+    off2 = [
+        quarter_minus**2 * (c - k * (k + 1)) * (c - (k + 1) * (k + 2)) * (2 if k == 0 else 1)
+        for k in ks[:-1]
     ]
+    return diag, off2, 4 * den
 
 
-def _aberth(coeffs: list, seeds: np.ndarray, digits: int, scale: float):
-    """Simultaneous real-root refinement from float-quality starting points.
+def _nearest_root(diag: list[int], off2: list[int], scale: int, rank: int, guess: float) -> float:
+    """The float nearest (ties to even) to the rank-th smallest root of the
+    block (diag, off2, scale) from _wang_block.
 
-    Returns the refined roots, or None when the iteration cannot be
-    trusted (coincident iterates or no convergence), in which case the
-    caller falls back to a seed-free root finder.
+    A float eigensolver's guess is off by a few ulps of the block norm,
+    which the ill-conditioned basis inversions in the ladders amplify, so
+    the root is bracketed and bisected on the exact characteristic sign:
+    near root ``rank``, det(x - block) has the sign (-1)^(n - 1 - rank)
+    above it and the opposite below.
     """
-    # Corrections shrink cubically until they hit the evaluation-noise
-    # floor; anything below 1e-25 of scale is far outside float64 anyway.
-    tol = mpmath.mpf("1e-25") * scale
-    z = [mpmath.mpf(float(s)) for s in seeds]
-    prev = mpmath.inf
-    for _ in range(40):
-        worst = mpmath.mpf(0)
-        nxt = []
-        for i, zi in enumerate(z):
-            value = mpmath.mpf(0)
-            slope = mpmath.mpf(0)
-            for c in coeffs:
-                slope = slope * zi + value
-                value = value * zi + c
-            if value == 0:
-                nxt.append(zi)
-                continue
-            if slope == 0:
-                return None
-            ratio = value / slope
-            repel = mpmath.mpf(0)
-            for j, zj in enumerate(z):
-                if j != i:
-                    gap = zi - zj
-                    if gap == 0:
-                        return None
-                    repel += 1 / gap
-            step = ratio / (1 - ratio * repel)
-            nxt.append(zi - step)
-            worst = max(worst, abs(step))
-        z = nxt
-        if worst < tol:
-            return z
-        if worst > 4 * prev:
-            return None
-        prev = worst
-    return None
+    orient = (-1) ** (len(diag) - 1 - rank)
 
+    def side(x) -> int:
+        """Sign of x - root for a float or Fraction x, from det(x - block)."""
+        num, den = x.as_integer_ratio()
+        xs = scale * num
+        prev, cur = 1, xs - den * diag[0]
+        for d, b in zip(diag[1:], off2):
+            prev, cur = cur, (xs - den * d) * cur - den * den * b * prev
+        return orient * ((cur > 0) - (cur < 0))
 
-def _eigenvalues(exact: list, ell: int, species: Species) -> np.ndarray:
-    """Ascending eigenvalues from the exact characteristic polynomial.
-
-    Nonsymmetric QR on the float matrix is not good enough here (see
-    _entry_polynomials), so the characteristic polynomial is accumulated
-    exactly through the principal-minor recurrence and its roots (all real
-    and simple for an unreduced tridiagonal) are located in arbitrary
-    precision, with enough working digits to absorb both the coefficient
-    growth and the root sensitivity. QR still earns its keep: its
-    eigenvalues seed the refinement, which otherwise starts blind.
-    """
-    n = len(exact)
-    if n == 1:
-        return np.array([float(exact[0][0])])
-    p_prev = [Fraction(1)]
-    p = [exact[0][0], Fraction(-1)]
-    for i in range(1, n):
-        q = exact[i - 1][i] * exact[i][i - 1]
-        d = exact[i][i]
-        nxt = [Fraction(0)] * (len(p) + 1)
-        for j, a in enumerate(p):
-            nxt[j] += a * d
-            nxt[j + 1] -= a
-        for j, b in enumerate(p_prev):
-            nxt[j] -= q * b
-        p_prev, p = p, nxt
-    scale = max(2.0, max(abs(float(row[i])) for row in exact for i in range(n)))
-    digits = 40 + int(n * math.log10(scale))
-    with mpmath.workdps(digits):
-        coeffs = [
-            mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(p)
-        ]
-        seeds = np.sort(np.linalg.eigvals(
-            np.array([[float(v) for v in row] for row in exact])
-        ).real)
-        refined = None
-        if np.diff(seeds).min() > 1e-5 * scale:
-            refined = _aberth(coeffs, seeds, digits, scale)
-        if refined is not None:
-            return np.sort(np.array([float(r) for r in refined]))
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * digits)
-        imag = max(abs(r.imag) for r in roots)
-        if imag > 1e-10 * scale:
-            raise DegenerateEigenvalues(
-                f"complex characteristic roots in species {species.tag(1)!r} "
-                f"at degree {ell}"
-            )
-        return np.sort(np.array([float(r.real) for r in roots]))
+    lo = hi = float(guess)
+    step = math.ulp(guess)
+    while side(lo) > 0:
+        lo, step = lo - step, 2 * step
+    step = math.ulp(guess)
+    while side(hi) < 0:
+        hi, step = hi + step, 2 * step
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if side(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    exact_mid = (Fraction(lo) + Fraction(hi)) / 2
+    above = side(exact_mid)
+    return lo if above > 0 else hi if above < 0 else float(exact_mid)
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +202,11 @@ def _solve_cached(ell: int, species: Species, ksq: float) -> tuple[tuple[float, 
     if n == 0:
         return ()
     mat = build_matrix(ell, species, ksq)
-    hs = _eigenvalues(_exact_matrix(ell, species, ksq), ell, species)
+    diag, off2, unit = _wang_block(ell, species, ksq)
+    off = [math.sqrt(b) / unit for b in off2]
+    block = np.diag([d / unit for d in diag]) + np.diag(off, 1) + np.diag(off, -1)
+    guesses = np.linalg.eigvalsh(block)
+    hs = np.array([_nearest_root(diag, off2, unit, r, g) for r, g in enumerate(guesses)])
     scale = max(1.0, float(np.abs(hs).max()))
     if n > 1 and np.diff(hs).min() < 1e-13 * scale:
         raise DegenerateEigenvalues(

@@ -134,18 +134,6 @@ def _pder(a: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(i * a[i] for i in range(1, len(a)))
 
 
-def _square_polys(species: Species, ksq: float) -> list[tuple[float, ...]]:
-    """u-polynomials of the squared letters present: s^2=u, c^2=1-u, d^2=1-k^2 u."""
-    out = []
-    if species.has_s:
-        out.append((0.0, 1.0))
-    if species.has_c:
-        out.append((1.0, -1.0))
-    if species.has_d:
-        out.append((1.0, -ksq))
-    return out
-
-
 @dataclass(frozen=True)
 class SnPoly:
     """One-coordinate block: species prefactor times a polynomial in sn^2."""

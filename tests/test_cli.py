@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from spheroconal import cli
+from spheroconal.errors import ProjectionResidual
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +164,16 @@ def test_ladder_csv_keeps_empty_decompositions(capsys):
     assert {r["target_label"] for r in full} == {"z"}
 
 
+def test_numerical_failure_exits_1_naming_the_error(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ProjectionResidual("image leaves the target basis")
+
+    monkeypatch.setattr(cli, "apply_angular_momentum", fail)
+    code, out, err = run_cli(capsys, "ladder", "--e1", "0.75", "--l", "1", "--op", "Lz")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ProjectionResidual: image leaves the target basis")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -211,3 +222,24 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["states"][0]["label"] == "1"
+
+
+def run_python(*argv):
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, check=False
+    )
+
+
+def test_module_entry_points():
+    proc = run_python("-m", "spheroconal", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"spheroconal {cli.__version__}"
+    proc = run_python("-m", "spheroconal.cli", "spectrum", "--e1", "0.75", "--lmax", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["states"]) == 9
+
+
+def test_import_does_not_load_mpmath():
+    proc = run_python("-c", "import sys, spheroconal; print('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

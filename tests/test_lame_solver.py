@@ -1,6 +1,8 @@
 """One-coordinate eigenproblem: matrices, eigenvalues, node bookkeeping."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +87,22 @@ def test_solve_degree1_cosine_species():
         assert state.h == pytest.approx(1.0, abs=1e-14)
         assert state.n == 1
         assert state.poly.coeffs == (1.0,)
+
+
+def test_solve_returns_correctly_rounded_eigenvalues():
+    # Degree 1 has h = k (d) and h = 1 + k (s); the last k makes 1 + k a
+    # tie between two floats, which rounds to the even one.
+    tie = 0.9342970264944647
+    assert Fraction(1.0 + tie) != 1 + Fraction(tie)
+    for k in (0.2, 0.37, tie):
+        assert solve(1, sp("d"), k)[0].h == k
+        assert solve(1, sp("s"), k)[0].h == 1.0 + k
+    # Degree 2, trivial species, k^2 = 1/2: h = 3 -+ sqrt(3), rounded once.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = Decimal(3).sqrt()
+    hs = [s.h for s in solve(2, sp("1"), 0.5)]
+    assert hs == [float(3 - root), float(3 + root)]
 
 
 def test_solve_side2_node_assignment():
