@@ -100,7 +100,7 @@ class SpheroconalHarmonic:
     lame2: LamePolynomial
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _build_basis_cached(ell: int, config: AsymmetryConfig) -> tuple[SpheroconalHarmonic, ...]:
     e1, _, e3 = config.e
     target = float(ell * (ell + 1))

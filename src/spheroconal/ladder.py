@@ -23,7 +23,9 @@ target family raises ProjectionResidual.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,10 +122,17 @@ def state_ref(state: SpheroconalHarmonic) -> StateRef:
 
 
 def _config_of(state: SpheroconalHarmonic, config: AsymmetryConfig | None) -> AsymmetryConfig:
-    """Recover the dimensionless configuration a state was built with."""
+    """Recover the dimensionless configuration a state was built with.
+
+    The moduli are the state's own, so the basis is solved at exactly the
+    state's asymmetry; only the e-triple is rebuilt (through e1), since the
+    decompositions do not depend on it.
+    """
     if config is not None:
         return config
-    return from_e1(e1_from_modulus(state.wavefunction.k1sq))
+    psi = state.wavefunction
+    e = from_e1(e1_from_modulus(psi.k1sq)).e
+    return AsymmetryConfig(e=e, k1sq=psi.k1sq, k2sq=psi.k2sq)
 
 
 def shift_nodes(
@@ -175,10 +184,23 @@ def _mul(block: BiSnPoly, *letter_side: tuple[str, int]) -> BiSnPoly:
     return block
 
 
+# Gradients per wavefunction, dropped together with the wavefunction (whose
+# hash is its identity, since BiSnPoly has eq=False).
+_GRADIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _gradients(psi: BiSnPoly) -> tuple[BiSnPoly, BiSnPoly]:
+    """(d_chi1(psi), d_chi2(psi)), computed once per wavefunction."""
+    pair = _GRADIENTS.get(psi)
+    if pair is None:
+        pair = _GRADIENTS[psi] = (d_chi1(psi), d_chi2(psi))
+    return pair
+
+
 def _angular_bracket(axis: str, psi: BiSnPoly) -> BiSnPoly:
     """The first-order bracket of L_axis/(−i*hbar), before division by W."""
     a, b = psi.k1sq, psi.k2sq
-    g1, g2 = d_chi1(psi), d_chi2(psi)
+    g1, g2 = _gradients(psi)
     if axis == "x":
         t1 = _mul(g1, ("d", 1), ("c", 2), ("d", 2))
         t2 = _mul(g2, ("s", 1), ("c", 1), ("s", 2)).scaled(a)
@@ -196,7 +218,7 @@ def _angular_bracket(axis: str, psi: BiSnPoly) -> BiSnPoly:
 def _linear_bracket(axis: str, psi: BiSnPoly) -> BiSnPoly:
     """The angular derivative bracket of p_axis, before division by W."""
     a, b = psi.k1sq, psi.k2sq
-    g1, g2 = d_chi1(psi), d_chi2(psi)
+    g1, g2 = _gradients(psi)
     if axis == "x":
         t1 = _mul(g1, ("s", 1), ("c", 1), ("s", 2)).scaled(-a)
         t2 = _mul(g2, ("d", 1), ("c", 2), ("d", 2))
@@ -211,29 +233,24 @@ def _linear_bracket(axis: str, psi: BiSnPoly) -> BiSnPoly:
     return t1.plus(t2)
 
 
-def _expand(
-    block: BiSnPoly, ell: int, config: AsymmetryConfig, context: str
-) -> list[tuple[SpheroconalHarmonic, float]]:
-    """Expand a block over the matching species family at one degree.
+@lru_cache(maxsize=1024)
+def _family(
+    ell: int, config: AsymmetryConfig, species_a: Species, species_b: Species
+) -> tuple[tuple[SpheroconalHarmonic, ...], np.ndarray | None, np.ndarray | None]:
+    """One degree-l species family, sorted by n1, and its two basis inverses.
 
-    The family basis factorizes per coordinate, so the expansion reduces to
-    two small triangular-ish solves; weights landing outside the paired
-    (rank, complementary rank) slots mean the block is not a sum of
-    harmonics of this degree and raise ProjectionResidual.
+    The family basis factorizes per coordinate: column i of ``fa`` holds the
+    first-side coefficients of member i, column i of ``fb`` the second-side
+    coefficients of member size-1-i. Returns ((), None, None) when the
+    degree has no such family. An exception (Singular) is not cached.
     """
     members = [
         s
         for s in (build_basis(ell, config) if ell >= 0 else [])
-        if (s.species_a, s.species_b) == (block.species_a, block.species_b)
+        if (s.species_a, s.species_b) == (species_a, species_b)
     ]
     if not members:
-        if block.max_abs > 1e-12:
-            raise ProjectionResidual(
-                f"{context}: no degree-{ell} family for species pair "
-                f"({block.species_a.tag(1)}, {block.species_b.tag(2)}) but "
-                f"content of size {block.max_abs:.3e} remains"
-            )
-        return []
+        return (), None, None
     members.sort(key=lambda s: s.n1)
     size = len(members)
 
@@ -244,6 +261,33 @@ def _expand(
         fa[: len(ca), i] = ca
         cb = members[size - 1 - i].lame2.poly.coeffs
         fb[: len(cb), i] = cb
+    inv_a, inv_b = invert_basis(fa), invert_basis(fb)
+    # Shared by every caller through the cache, so frozen.
+    inv_a.setflags(write=False)
+    inv_b.setflags(write=False)
+    return tuple(members), inv_a, inv_b
+
+
+def _expand(
+    block: BiSnPoly, ell: int, config: AsymmetryConfig, context: str
+) -> list[tuple[SpheroconalHarmonic, float]]:
+    """Expand a block over the matching species family at one degree.
+
+    The expansion reduces to the two per-coordinate basis inverses of
+    ``_family``; weights landing outside the paired (rank, complementary
+    rank) slots mean the block is not a sum of harmonics of this degree and
+    raise ProjectionResidual.
+    """
+    members, inv_a, inv_b = _family(ell, config, block.species_a, block.species_b)
+    if not members:
+        if block.max_abs > 1e-12:
+            raise ProjectionResidual(
+                f"{context}: no degree-{ell} family for species pair "
+                f"({block.species_a.tag(1)}, {block.species_b.tag(2)}) but "
+                f"content of size {block.max_abs:.3e} remains"
+            )
+        return []
+    size = len(members)
 
     shape = block.coeffs.shape
     scale = max(block.max_abs, 1e-30)
@@ -259,7 +303,7 @@ def _expand(
     c = np.zeros((size, size))
     c[: min(shape[0], size), : min(shape[1], size)] = block.coeffs[:size, :size]
 
-    weights = invert_basis(fa) @ c @ invert_basis(fb).T
+    weights = inv_a @ c @ inv_b.T
     wscale = max(float(np.abs(weights).max()), 1.0)
     out: list[tuple[SpheroconalHarmonic, float]] = []
     for i in range(size):

@@ -196,7 +196,7 @@ def _nearest_root(diag: list[int], off2: list[int], scale: int, rank: int, guess
     return lo if above > 0 else hi if above < 0 else float(exact_mid)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _solve_cached(ell: int, species: Species, ksq: float) -> tuple[tuple[float, tuple[float, ...]], ...]:
     n = matrix_size(ell, species)
     if n == 0:

@@ -166,19 +166,24 @@ class SnPoly:
         return np.polynomial.polynomial.polyval(u, np.asarray(self.coeffs))
 
 
-def differentiate(p: SnPoly) -> SnPoly:
-    """Exact d/dchi of a one-coordinate block.
+def _square(letter: str, ksq: float) -> tuple[float, ...]:
+    """The square of one letter as a polynomial in u: sn^2, cn^2 or dn^2."""
+    return {"s": (0.0, 1.0), "c": (1.0, -1.0), "d": (1.0, -ksq)}[letter]
+
+
+def _chain_factors(species: Species, ksq: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Polynomial cofactors (t, chain) of d/dchi on one coordinate.
 
     The chain rule on sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn toggles
-    every letter of the species and leaves a polynomial cofactor:
-    one term per present letter plus 2 * (product of present squares) * P'.
+    every letter of the species and leaves the cofactor t * P + 2 * chain * P'
+    of the polynomial part P: t has one term per present letter, chain is
+    the product of the present letters' squares.
     """
-    eps_s, eps_c, eps_d = p.species.parity
-    ksq = p.ksq
+    eps_s, eps_c, eps_d = species.parity
     one = (1.0,)
-    u_pow = (0.0, 1.0) if eps_s else one
-    c_pow = (1.0, -1.0) if eps_c else one
-    d_pow = (1.0, -ksq) if eps_d else one
+    u_pow = _square("s", ksq) if eps_s else one
+    c_pow = _square("c", ksq) if eps_c else one
+    d_pow = _square("d", ksq) if eps_d else one
 
     t = (0.0,)
     if eps_s:
@@ -187,11 +192,16 @@ def differentiate(p: SnPoly) -> SnPoly:
         t = _padd(t, tuple(-x for x in _pmul(u_pow, d_pow)))
     if eps_d:
         t = _padd(t, tuple(-ksq * x for x in _pmul(u_pow, c_pow)))
+    return t, _pmul(u_pow, _pmul(c_pow, d_pow))
 
+
+def differentiate(p: SnPoly) -> SnPoly:
+    """Exact d/dchi of a one-coordinate block (see ``_chain_factors``)."""
+    t, chain_pref = _chain_factors(p.species, p.ksq)
     q = _pmul(p.coeffs, t)
-    chain = _pmul(_pmul(u_pow, _pmul(c_pow, d_pow)), _pder(p.coeffs))
+    chain = _pmul(chain_pref, _pder(p.coeffs))
     q = _ptrim(_padd(q, tuple(2.0 * x for x in chain)))
-    return SnPoly(p.species.flipped("scd"), q, ksq)
+    return SnPoly(p.species.flipped("scd"), q, p.ksq)
 
 
 def mul_factor(p: SnPoly, letter: str) -> SnPoly:
@@ -206,8 +216,7 @@ def mul_factor(p: SnPoly, letter: str) -> SnPoly:
     species = p.species.flipped(letter)
     if not present:
         return SnPoly(species, p.coeffs, p.ksq)
-    square = {"s": (0.0, 1.0), "c": (1.0, -1.0), "d": (1.0, -p.ksq)}[letter]
-    return SnPoly(species, _pmul(p.coeffs, square), p.ksq)
+    return SnPoly(species, _pmul(p.coeffs, _square(letter, p.ksq)), p.ksq)
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +328,9 @@ def _der_axis(coeffs: np.ndarray, axis: int) -> np.ndarray:
 def _differentiate_axis(p: BiSnPoly, axis: int) -> BiSnPoly:
     species = p.species_a if axis == 0 else p.species_b
     ksq = p.k1sq if axis == 0 else p.k2sq
-    eps_s, eps_c, eps_d = species.parity
-    one = (1.0,)
-    u_pow = (0.0, 1.0) if eps_s else one
-    c_pow = (1.0, -1.0) if eps_c else one
-    d_pow = (1.0, -ksq) if eps_d else one
-
-    t = (0.0,)
-    if eps_s:
-        t = _padd(t, _pmul(c_pow, d_pow))
-    if eps_c:
-        t = _padd(t, tuple(-x for x in _pmul(u_pow, d_pow)))
-    if eps_d:
-        t = _padd(t, tuple(-ksq * x for x in _pmul(u_pow, c_pow)))
+    t, chain_pref = _chain_factors(species, ksq)
 
     out = _apply_upoly(p.coeffs, t, axis)
-    chain_pref = _pmul(u_pow, _pmul(c_pow, d_pow))
     chain = _apply_upoly(2.0 * _der_axis(p.coeffs, axis), chain_pref, axis)
     s = max(out.shape[0], chain.shape[0])
     tt = max(out.shape[1], chain.shape[1])
@@ -342,11 +338,10 @@ def _differentiate_axis(p: BiSnPoly, axis: int) -> BiSnPoly:
     total[: out.shape[0], : out.shape[1]] += out
     total[: chain.shape[0], : chain.shape[1]] += chain
 
-    new_a = species.flipped("scd") if axis == 0 else p.species_a
-    new_b = species.flipped("scd") if axis == 1 else p.species_b
+    flipped = species.flipped("scd")
     if axis == 0:
-        return BiSnPoly(new_a, p.species_b, total, p.k1sq, p.k2sq).trimmed()
-    return BiSnPoly(p.species_a, new_b, total, p.k1sq, p.k2sq).trimmed()
+        return BiSnPoly(flipped, p.species_b, total, p.k1sq, p.k2sq).trimmed()
+    return BiSnPoly(p.species_a, flipped, total, p.k1sq, p.k2sq).trimmed()
 
 
 def d_chi1(p: BiSnPoly) -> BiSnPoly:
@@ -370,8 +365,7 @@ def mul_factor_bi(p: BiSnPoly, letter: str, side: int) -> BiSnPoly:
     new_species = species.flipped(letter)
     coeffs = p.coeffs
     if present:
-        square = {"s": (0.0, 1.0), "c": (1.0, -1.0), "d": (1.0, -ksq)}[letter]
-        coeffs = _apply_upoly(coeffs, square, axis)
+        coeffs = _apply_upoly(coeffs, _square(letter, ksq), axis)
     if axis == 0:
         return BiSnPoly(new_species, p.species_b, coeffs, p.k1sq, p.k2sq)
     return BiSnPoly(p.species_a, new_species, coeffs, p.k1sq, p.k2sq)

@@ -4,11 +4,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spheroconal
 from spheroconal import cli
 from spheroconal.errors import ProjectionResidual
 
@@ -208,26 +211,27 @@ def test_verify_injected_fault_exits_1(capsys):
     assert by_name["multiplet-trace"]["passed"] is True
 
 
-def test_console_entry_point_smoke():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from spheroconal.cli import entry; entry()",
-            "spectrum", "--e1", "0.75", "--lmax", "0",
-        ],
+def run_python(*argv):
+    """Run the interpreter on the same spheroconal package the tests import."""
+    source = str(Path(spheroconal.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (source, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_console_entry_point_smoke():
+    proc = run_python(
+        "-c",
+        "from spheroconal.cli import entry; entry()",
+        "spectrum", "--e1", "0.75", "--lmax", "0",
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["states"][0]["label"] == "1"
-
-
-def run_python(*argv):
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, check=False
-    )
 
 
 def test_module_entry_points():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from spheroconal.errors import LadderEnd
+from spheroconal import harmonics, lame_solver, ladder
+from spheroconal.asymmetry import e1_from_modulus, from_e1, from_moments
+from spheroconal.errors import LadderEnd, ProjectionResidual
 from spheroconal.harmonics import build_basis
 from spheroconal.ladder import (
     L_CONVENTION,
@@ -18,7 +20,7 @@ from spheroconal.ladder import (
     state_ref,
 )
 from spheroconal.oracle import fd_operator, fit_in_basis, make_grid, state_field
-from spheroconal.polyalg import Species
+from spheroconal.polyalg import Species, divide_by_scale, invert_basis
 from spheroconal.elliptic import jacobi
 
 from _forms import h2pair, linear_l1_alphas
@@ -151,14 +153,21 @@ def test_angular_actions_divide_through_degree6(mid_config):
                     assert t.target.ell == ell
 
 
-def test_config_argument_is_optional(modulus_config):
-    _, cfg = modulus_config
-    state = build_basis(1, cfg)[1]
-    with_cfg = term_map(apply_angular_momentum("z", state, cfg))
-    without = term_map(apply_angular_momentum("z", state))
-    assert set(with_cfg) == set(without)
-    for key, value in with_cfg.items():
-        assert without[key] == pytest.approx(value, abs=1e-12)
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        *(from_e1(e1_from_modulus(k)) for k in (0.3, 0.5, 0.7)),
+        # These two rebuild a different k1sq through e1_from_modulus -> from_e1.
+        from_e1(0.7545098885474434),
+        from_moments(1.0, 2.0, 3.0),
+    ],
+    ids=["k1sq=0.3", "k1sq=0.5", "k1sq=0.7", "e1=0.7545098885474434", "moments=1,2,3"],
+)
+def test_config_argument_is_optional(cfg):
+    for state in build_basis(1, cfg) + build_basis(6, cfg):
+        for axis in "xyz":
+            assert apply_angular_momentum(axis, state) == apply_angular_momentum(axis, state, cfg)
+            assert apply_linear_momentum(axis, state) == apply_linear_momentum(axis, state, cfg)
 
 
 def test_axis_validation(mid_config):
@@ -318,3 +327,102 @@ def test_linear_targets_flip_one_parity(mid_config):
                             assert target.parities[i] == -state.parities[i]
                         else:
                             assert target.parities[i] == state.parities[i]
+
+
+# ---------------------------------------------------------------------------
+# Cached families and gradients
+
+
+OPS = ("Lx", "Ly", "Lz", "Px", "Py", "Pz")
+
+
+def _decompose(op, state, cfg):
+    apply = apply_angular_momentum if op[0] == "L" else apply_linear_momentum
+    return apply(op[1], state, cfg)
+
+
+def _scratch_expand(block, ell, cfg) -> dict:
+    """Paired-slot weights of a block, inverting the family from build_basis."""
+    members = sorted(
+        (
+            s
+            for s in (build_basis(ell, cfg) if ell >= 0 else [])
+            if (s.species_a, s.species_b) == (block.species_a, block.species_b)
+        ),
+        key=lambda s: s.n1,
+    )
+    size = len(members)
+    if not size:
+        return {}
+    fa = np.zeros((size, size))
+    fb = np.zeros((size, size))
+    for i, s in enumerate(members):
+        fa[: len(s.lame1.poly.coeffs), i] = s.lame1.poly.coeffs
+        cb = members[size - 1 - i].lame2.poly.coeffs
+        fb[: len(cb), i] = cb
+    shape = block.coeffs.shape
+    c = np.zeros((size, size))
+    c[: min(shape[0], size), : min(shape[1], size)] = block.coeffs[:size, :size]
+    weights = invert_basis(fa) @ c @ invert_basis(fb).T
+    wscale = max(float(np.abs(weights).max()), 1.0)
+    out = {}
+    for i, s in enumerate(members):
+        w = float(weights[i, size - 1 - i])
+        if abs(w) > ladder._DROP_RTOL * wscale:
+            out[(s.ell, s.label, s.n1)] = w
+    return out
+
+
+def _scratch_terms(op, state, cfg) -> dict:
+    psi, ell, axis = state.wavefunction, state.ell, op[1]
+    if op[0] == "L":
+        action = divide_by_scale(ladder._angular_bracket(axis, psi)).scaled(-1.0)
+        return _scratch_expand(action, ell, cfg)
+    la, lb = ladder._COSINES[axis]
+    cosine = ladder._mul(psi, (la, 1), (lb, 2))
+    lowering = cosine.scaled(float(ell)).plus(linear_momentum_bracket(axis, state))
+    raising = cosine.plus(lowering.scaled(-1.0 / (2 * ell + 1)))
+    return {**_scratch_expand(lowering, ell - 1, cfg), **_scratch_expand(raising, ell + 1, cfg)}
+
+
+def test_cached_families_match_a_from_scratch_inversion():
+    cfg = from_e1(0.81)
+    for ell in range(1, 9):
+        for state in build_basis(ell, cfg):
+            for op in OPS:
+                assert term_map(_decompose(op, state, cfg)) == _scratch_terms(op, state, cfg), (
+                    op,
+                    state_ref(state),
+                )
+
+
+def test_decompositions_do_not_depend_on_call_order():
+    cfg = from_e1(0.6614)
+    calls = [(op, s) for ell in (4, 5) for s in build_basis(ell, cfg) for op in OPS]
+    forward = [_decompose(op, s, cfg) for op, s in calls]
+    backward = [_decompose(op, s, cfg) for op, s in reversed(calls)][::-1]
+    again = [_decompose(op, s, cfg) for op, s in calls]
+    assert forward == backward == again
+
+
+def test_failing_decomposition_fails_on_every_call():
+    cfg = from_e1(0.55)
+    (state,) = [s for s in build_basis(14, cfg) if (s.label, s.n1) == ("1", 0)]
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ProjectionResidual) as info:
+            apply_linear_momentum("z", state, cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_caches_stay_bounded_over_a_long_sweep():
+    caches = (lame_solver._solve_cached, harmonics._build_basis_cached, ladder._family)
+    for e1 in np.linspace(0.56, 0.94, 360):
+        cfg = from_e1(float(e1))
+        for state in build_basis(1, cfg):
+            ladder._family(1, cfg, state.species_a, state.species_b)
+    for cache in caches:
+        info = cache.cache_info()
+        # 360 fresh asymmetries add 2880 solves, 360 bases and 1080 families.
+        assert info.currsize == info.maxsize
