@@ -48,6 +48,10 @@ from .lame_solver import apply_operator
 from .oracle import fd_operator, make_grid, state_field
 from .polyalg import divide_by_scale
 
+# angular_momentum_matrix and divide_by_scale are not called here; they stay
+# bound in this namespace because the benchmark tracer (bench/spans.py)
+# wraps them here.
+
 __all__ = ["main", "entry"]
 
 _OPERATORS = ("Lx", "Ly", "Lz", "Px", "Py", "Pz")
@@ -384,16 +388,29 @@ def _invariant_suite(cfg: AsymmetryConfig, lmax: int, inject_fault: bool) -> lis
         }
     )
 
+    # The L matrices of every degree are built from the same decompositions
+    # that the divisibility check makes; a degree with a failed one has none.
     failures = 0
     count = 0
+    matrices = {}
     for ell, basis in bases.items():
-        for s in basis:
+        index = {(s.label, s.n1): i for i, s in enumerate(basis)}
+        mats = {ax: np.zeros((len(basis), len(basis)), dtype=complex) for ax in "xyz"}
+        complete = True
+        for j, s in enumerate(basis):
             for axis in "xyz":
                 count += 1
                 try:
-                    apply_angular_momentum(axis, s, cfg)
+                    dec = apply_angular_momentum(axis, s, cfg)
                 except SpheroconalError:
                     failures += 1
+                    complete = False
+                    continue
+                for term in dec.terms:
+                    i = index[(term.target.label, term.target.n1)]
+                    mats[axis][i, j] = 1j * term.coefficient
+        if complete:
+            matrices[ell] = mats
     results.append(
         {
             "invariant": "divisibility",
@@ -403,31 +420,34 @@ def _invariant_suite(cfg: AsymmetryConfig, lmax: int, inject_fault: bool) -> lis
         }
     )
 
+    # Residuals relative to (max |L|)^2, the scale of the products.
     worst_c = 0.0
     worst_l2 = 0.0
-    for ell in range(min(lmax, 4) + 1):
-        mats = {ax: angular_momentum_matrix(ax, ell, cfg) for ax in "xyz"}
+    for ell, mats in matrices.items():
+        scale = max(float(np.abs(m).max()) for m in mats.values()) ** 2 or 1.0
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
             comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            worst_c = max(worst_c, float(np.abs(comm - 1j * mats[c]).max()))
+            worst_c = max(worst_c, float(np.abs(comm - 1j * mats[c]).max()) / scale)
         casimir = sum(mats[ax] @ mats[ax] for ax in "xyz")
         eye = ell * (ell + 1) * np.eye(2 * ell + 1)
-        worst_l2 = max(worst_l2, float(np.abs(casimir - eye).max()))
-    ctol = 1e-8 * max(1.0, min(lmax, 4) * (min(lmax, 4) + 1))
+        worst_l2 = max(worst_l2, float(np.abs(casimir - eye).max()) / scale)
+    unchecked = len(bases) - len(matrices)
+    note = f"; {unchecked} degrees unchecked (failed decompositions)" if unchecked else ""
     results.append(
         {
             "invariant": "commutators",
-            "passed": bool(worst_c <= ctol),
+            "passed": bool(worst_c <= 1e-10) and not unchecked,
             "worst": worst_c,
-            "detail": "[Lx, Ly] - i Lz and cyclic, in matrix form",
+            "detail": "[Lx, Ly] - i Lz and cyclic, in matrix form, over (max |L|)^2" + note,
         }
     )
     results.append(
         {
             "invariant": "squared-momentum-closure",
-            "passed": bool(worst_l2 <= ctol),
+            "passed": bool(worst_l2 <= 1e-10) and not unchecked,
             "worst": worst_l2,
-            "detail": "Lx^2 + Ly^2 + Lz^2 minus l(l+1) on each degree block",
+            "detail": "Lx^2 + Ly^2 + Lz^2 minus l(l+1) on each degree block, over (max |L|)^2"
+            + note,
         }
     )
     return results

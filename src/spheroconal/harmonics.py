@@ -63,7 +63,7 @@ def species_for_label(label: str) -> tuple[Species, Species]:
 
 @dataclass(frozen=True)
 class SpheroconalHarmonic:
-    """One normalized-leading-coefficient harmonic of the asymmetric rotor.
+    """One harmonic of the asymmetric rotor, normalized to a0 = 1 on each side.
 
     Attributes
     ----------
@@ -76,7 +76,7 @@ class SpheroconalHarmonic:
     estar2 : float
         Scaled asymmetry energy 2E* = e1 h1 + e3 h2.
     wavefunction : BiSnPoly
-        The product block with both leading coefficients equal to 1.
+        The product block; both polynomial parts have P(0) = 1.
     parities : tuple of int
         Signs under the reflections x -> -x, y -> -y, z -> -z.
     label : str

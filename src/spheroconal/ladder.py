@@ -305,16 +305,15 @@ def _expand(
 
     weights = inv_a @ c @ inv_b.T
     wscale = max(float(np.abs(weights).max()), 1.0)
+    unpaired = ~np.eye(size, dtype=bool)[::-1]
+    stray = np.argwhere(unpaired & (np.abs(weights) > _OFF_RTOL * wscale))
+    if stray.size:
+        i, j = stray[0]
+        raise ProjectionResidual(
+            f"{context}: weight {weights[i, j]:.3e} on the unpaired "
+            f"eigenvalue slot ({i}, {j})"
+        )
     out: list[tuple[SpheroconalHarmonic, float]] = []
-    for i in range(size):
-        for j in range(size):
-            if j == size - 1 - i:
-                continue
-            if abs(weights[i, j]) > _OFF_RTOL * wscale:
-                raise ProjectionResidual(
-                    f"{context}: weight {weights[i, j]:.3e} on the unpaired "
-                    f"eigenvalue slot ({i}, {j})"
-                )
     for i, s in enumerate(members):
         w = float(weights[i, size - 1 - i])
         if abs(w) > _DROP_RTOL * wscale:

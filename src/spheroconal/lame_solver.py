@@ -2,16 +2,16 @@
 
 For each degree l and species prefactor, the operator
 ``-d^2/dchi^2 + l(l+1) k^2 sn^2(chi)`` maps the finite family
-{prefactor * sn^(2s)} into itself. Its matrix in that basis is tridiagonal;
-the eigenvalues h and the recurrence-normalized coefficient vectors
-(leading coefficient fixed to 1) define the polynomial solutions used to
-assemble the two-coordinate harmonics.
+{prefactor * T_j(2 sn^2 - 1)} into itself (shifted Chebyshev polynomials,
+see ``polyalg``). Each eigenpolynomial is the null vector of that matrix
+minus its eigenvalue h, normalized to P(0) = 1 (a0 = 1); the pairs (h, P)
+are used to assemble the two-coordinate harmonics.
 
-That matrix is badly non-normal at high degree, so the eigenvalues come
-instead from the same spectrum in a well-conditioned form: the h of a
-species are the eigenvalues of one real symmetric Wang block of
-Lx^2 + k^2 Ly^2 (Wang 1929; King, Hainer & Cross 1943), each rounded to
-the nearest float by exact integer arithmetic.
+That matrix is non-normal, so the eigenvalues come instead from the same
+spectrum in a well-conditioned form: the h of a species are the
+eigenvalues of one real symmetric Wang block of Lx^2 + k^2 Ly^2 (Wang 1929;
+King, Hainer & Cross 1943), each rounded to the nearest float by exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateEigenvalues, WrongKind
-from .polyalg import SnPoly, Species, differentiate
+from .polyalg import SnPoly, Species, chain_rule, differentiate, mul_factor, times_square
 
 __all__ = ["LamePolynomial", "matrix_size", "build_matrix", "solve", "apply_operator"]
 
@@ -44,7 +44,7 @@ class LamePolynomial:
     h : float
         Separation eigenvalue.
     poly : SnPoly
-        The full block (prefactor and polynomial part), coeffs[0] = 1.
+        The full block (prefactor and polynomial part), P(0) = 1.
     """
 
     ell: int
@@ -74,59 +74,32 @@ def matrix_size(ell: int, species: Species) -> int:
 
 def apply_operator(p: SnPoly, ell: int) -> SnPoly:
     """Image of a block under -d^2/dchi^2 + l(l+1) k^2 sn^2."""
-    minus_dd = differentiate(differentiate(p))
-    shifted = (0.0,) + p.coeffs  # multiplication by sn^2
-    n = max(len(minus_dd.coeffs), len(shifted))
-    lam = ell * (ell + 1) * p.ksq
-    out = [0.0] * n
-    for i, ci in enumerate(minus_dd.coeffs):
-        out[i] -= ci
-    for i, ci in enumerate(shifted):
-        out[i] += lam * ci
+    dd = differentiate(differentiate(p)).coeffs
+    usq = mul_factor(mul_factor(p, "s"), "s").coeffs  # sn^2 times the block
+    out = np.zeros(max(len(dd), len(usq)))
+    out[: len(usq)] += ell * (ell + 1) * p.ksq * np.asarray(usq)
+    out[: len(dd)] -= dd
     return SnPoly(p.species, tuple(out), p.ksq)
 
 
 def build_matrix(ell: int, species: Species, ksq: float) -> np.ndarray:
-    """Tridiagonal matrix of the operator on {prefactor * sn^(2s)}, s < N.
+    """Matrix of the operator on {prefactor * T_j(2 sn^2 - 1)}, j < N.
 
-    Column j holds the coefficients of the image of basis element j. The
-    top-degree coefficient of the last column cancels identically; a small
-    numerical remainder there is asserted and dropped.
+    Column j holds the coefficients of the image of basis element j; the
+    polyalg kernel maps all columns of the identity at once. The
+    coefficients above N cancel identically; a small numerical remainder
+    there is asserted and dropped.
     """
     n = matrix_size(ell, species)
-    mat = np.zeros((n, n))
-    for j in range(n):
-        basis = SnPoly(species, (0.0,) * j + (1.0,), ksq)
-        image = apply_operator(basis, ell)
-        coeffs = np.asarray(image.coeffs)
-        if len(coeffs) > n:
-            overflow = np.abs(coeffs[n:]).max()
-            scale = max(np.abs(coeffs).max(), 1.0)
-            if overflow > 1e-10 * scale:
-                raise AssertionError(
-                    f"family not invariant at degree {ell}: overflow {overflow:.3e}"
-                )
-            coeffs = coeffs[:n]
-        mat[: len(coeffs), j] = coeffs
-    return mat
-
-
-def _coefficients(mat: np.ndarray, h: float) -> tuple[float, ...]:
-    """Eigenvector from the three-term recurrence, normalized to a0 = 1."""
-    n = mat.shape[0]
-    a = np.zeros(n)
-    a[0] = 1.0
-    for i in range(n - 1):
-        acc = (h - mat[i, i]) * a[i]
-        if i > 0:
-            acc -= mat[i, i - 1] * a[i - 1]
-        step = mat[i, i + 1]
-        if abs(step) < 1e-12:
-            raise DegenerateEigenvalues(
-                f"vanishing recurrence step at row {i}; cannot normalize to a0 = 1"
-            )
-        a[i + 1] = acc / step
-    return tuple(a)
+    eye = np.eye(n)
+    image = -chain_rule(chain_rule(eye, species, ksq), species.flipped("scd"), ksq)
+    image[: n + 1] += ell * (ell + 1) * ksq * times_square(eye, "s", ksq)
+    overflow = np.abs(image[n:]).max(initial=0.0)
+    if overflow > 1e-10 * max(np.abs(image).max(), 1.0):
+        raise AssertionError(
+            f"family not invariant at degree {ell}: overflow {overflow:.3e}"
+        )
+    return image[:n]
 
 
 def _wang_block(ell: int, species: Species, ksq: float) -> tuple[list[int], list[int], int]:
@@ -212,7 +185,21 @@ def _solve_cached(ell: int, species: Species, ksq: float) -> tuple[tuple[float, 
         raise DegenerateEigenvalues(
             f"eigenvalue spacing below tolerance in species {species.tag(1)!r} at degree {ell}"
         )
-    return tuple((float(h), _coefficients(mat, float(h))) for h in hs)
+    # Null vectors of mat - h I with P(0) = sum_j (-1)^j c_j = 1, from the
+    # consistent full-rank bordered systems [mat - h I; (-1)^j] c = e_n by one
+    # batched QR (a quarter of the cost of SVD null vectors, equal to 2e-13).
+    # The rounding left in P(0) goes into the smallest coefficient.
+    signs = (-1.0) ** np.arange(n)
+    bordered = np.concatenate(
+        [mat - hs[:, None, None] * np.eye(n), np.broadcast_to(signs, (len(hs), 1, n))], axis=1
+    )
+    q, r = np.linalg.qr(bordered)
+    vecs = np.linalg.solve(r, q[:, -1, :, None])[..., 0]
+    vecs /= (vecs @ signs)[:, None]
+    for c in vecs:
+        j = np.argmin(np.abs(c))
+        c[j] += signs[j] * (1.0 - math.fsum(c * signs))
+    return tuple((float(h), tuple(v.tolist())) for h, v in zip(hs, vecs))
 
 
 def solve(ell: int, species: Species, ksq: float, side: int = 1) -> list[LamePolynomial]:

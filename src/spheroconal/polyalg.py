@@ -7,13 +7,22 @@ single letter, and division by the two-coordinate metric factor
 W = 1 - k1^2 u - k2^2 v all stay inside this family, which is what makes the
 ladder decompositions exact rather than numerical.
 
-Conventions: polynomial coefficients are stored lowest power first, so
-``coeffs[s]`` multiplies u^s.
+Conventions: polynomial coefficients are shifted Chebyshev coefficients,
+lowest order first, so ``coeffs[s]`` multiplies T_s(2u - 1) and
+``coeffs[s, t]`` of a two-coordinate block multiplies T_s(2u - 1) T_t(2v - 1).
+Unlike the powers u^s, this basis stays well conditioned on [0, 1] at every
+degree. P(0) = sum_s (-1)^s coeffs[s], so the eigenpolynomial normalization
+a0 = 1 means P(0) = 1.
+
+One axis kernel (``times_square``, ``chain_rule`` and the node transform of
+``divide_by_scale``) acts along axis 0 of a coefficient array; a polynomial
+in one coordinate is its one-column case, a block's second axis its transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +35,8 @@ __all__ = [
     "BiSnPoly",
     "differentiate",
     "mul_factor",
+    "times_square",
+    "chain_rule",
     "divide_by_scale",
     "invert_basis",
 ]
@@ -102,36 +113,113 @@ class Species:
 
 
 # ---------------------------------------------------------------------------
-# Plain polynomial helpers (lowest power first, tuples of float)
+# The axis kernel: every function acts along axis 0 of a coefficient array.
 
 
-def _ptrim(c: tuple[float, ...]) -> tuple[float, ...]:
-    scale = max((abs(x) for x in c), default=0.0)
-    n = len(c)
-    while n > 1 and abs(c[n - 1]) <= _TRIM_RTOL * scale:
-        n -= 1
-    return tuple(c[:n])
+@lru_cache(maxsize=128)
+def _u_matrix(n: int) -> np.ndarray:
+    """u * P on n coefficients, banded: u T_j = T_j / 2 + (T_(j+1) + T_|j-1|) / 4
+    with x = 2u - 1. Maps n coefficients to n + 1."""
+    mat = np.zeros((n + 1, n))
+    j = np.arange(n)
+    mat[j, j] = 0.5
+    mat[j + 1, j] += 0.25
+    mat[np.abs(j - 1), j] += 0.25
+    mat.setflags(write=False)
+    return mat
 
 
-def _pmul(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
+def times_square(c: np.ndarray, letter: str, ksq: float) -> np.ndarray:
+    """P times sn^2 = u, cn^2 = 1 - u or dn^2 = 1 - k^2 u (letter 's'/'c'/'d')."""
+    const, slope = {"s": (0.0, 1.0), "c": (1.0, -1.0), "d": (1.0, -ksq)}[letter]
+    out = slope * (_u_matrix(c.shape[0]) @ c)
+    if const:
+        out[:-1] += const * c
+    return out
 
 
-def _padd(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0.0) + (b[i] if i < len(b) else 0.0) for i in range(n)
-    )
+def chain_rule(c: np.ndarray, species: Species, ksq: float) -> np.ndarray:
+    """Polynomial part of d/dchi (F P), F the species prefactor.
+
+    The chain rule on sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn toggles
+    every letter of F and leaves t P + 2 chain dP/du, where chain is the
+    product of the present letters' squares and t has one term per present
+    letter: its slope (1, -1, -k^2 for s, c, d) times the squares of the
+    other present letters.
+    """
+    return _chain_matrix(species, ksq, c.shape[0]) @ c
 
 
-def _pder(a: tuple[float, ...]) -> tuple[float, ...]:
-    if len(a) == 1:
-        return (0.0,)
-    return tuple(i * a[i] for i in range(1, len(a)))
+@lru_cache(maxsize=256)
+def _chain_matrix(species: Species, ksq: float, n: int) -> np.ndarray:
+    """``chain_rule`` on n coefficients, as the matrix of its columns."""
+    # d/du T_j(2u - 1) = sum over k < j with j - k odd of 4j T_k, the k = 0
+    # term halved: n coefficients go to n - 1 (one zero when n = 1).
+    j = np.arange(n)
+    k = j[: max(n - 1, 1), None]
+    out = np.where((j > k) & ((j - k) % 2 == 1), 8.0 * j, 0.0)  # 2 d/du
+    out[0] /= 2.0
+    letters = species.letters
+    slope = {"s": 1.0, "c": -1.0, "d": -ksq}
+    eye = np.eye(n)
+    for x in letters:
+        out = times_square(out, x, ksq)
+    for x in letters:
+        term = slope[x] * eye
+        for y in letters:
+            if y != x:
+                term = times_square(term, y, ksq)
+        out = _add(out, term)
+    out.setflags(write=False)
+    return out
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two coefficient arrays, the shorter zero-padded."""
+    if a.shape == b.shape:
+        return a + b
+    out = np.zeros(np.maximum(a.shape, b.shape))
+    out[tuple(slice(0, s) for s in a.shape)] += a
+    out[tuple(slice(0, s) for s in b.shape)] += b
+    return out
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Drop trailing rows and columns below 1e-12 of the largest coefficient."""
+    mag = np.abs(c)
+    live = mag > _TRIM_RTOL * mag.max()
+    rows = np.flatnonzero(live.any(axis=1))
+    cols = np.flatnonzero(live.any(axis=0))
+    return c[: rows[-1] + 1 if rows.size else 1, : cols[-1] + 1 if cols.size else 1]
+
+
+def _vander(u, n: int) -> np.ndarray:
+    """(T_0, ..., T_(n-1)) at 2u - 1, along a last axis added to u's shape."""
+    u = np.asarray(u, dtype=float)
+    return np.polynomial.chebyshev.chebvander(2.0 * u - 1.0, n - 1).reshape(u.shape + (n,))
+
+
+@lru_cache(maxsize=128)
+def _node_transform(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigendecomposition of the truncated multiply-by-u matrix.
+
+    Multiplying by u and dropping the T_n term keeps the values at the roots
+    x_k = cos(theta_k), theta_k = (2k + 1) pi / 2n, of T_n, so that map is
+    inv(E) diag((1 + x_k) / 2) E with E[k, j] = T_j(x_k) = cos(j theta_k),
+    and inv(E) = diag(1, 2, ..., 2) E^T / n by discrete orthogonality.
+    Returns (E, inv(E)).
+    """
+    theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
+    fwd = np.cos(np.outer(theta, np.arange(n)))
+    inv = fwd.T * (2.0 / n)
+    inv[0] /= 2.0
+    fwd.setflags(write=False)
+    inv.setflags(write=False)
+    return fwd, inv
+
+
+# ---------------------------------------------------------------------------
+# One-coordinate blocks: the one-column case of the kernel
 
 
 @dataclass(frozen=True)
@@ -154,54 +242,20 @@ class SnPoly:
     def evaluate(self, chi) -> np.ndarray | float:
         """Value F(chi) * P(sn^2 chi) at real argument(s) chi."""
         sn, cn, dn = jacobi(chi, self.ksq)
-        u = np.asarray(sn) ** 2
-        val = np.polynomial.polynomial.polyval(u, np.asarray(self.coeffs))
         eps_s, eps_c, eps_d = self.species.parity
         pref = np.asarray(sn) ** eps_s * np.asarray(cn) ** eps_c * np.asarray(dn) ** eps_d
-        out = pref * val
+        out = pref * self.poly_value(np.asarray(sn) ** 2)
         return float(out) if np.ndim(chi) == 0 else out
 
     def poly_value(self, u) -> np.ndarray | float:
         """Value of the bare polynomial part at u = sn^2."""
-        return np.polynomial.polynomial.polyval(u, np.asarray(self.coeffs))
-
-
-def _square(letter: str, ksq: float) -> tuple[float, ...]:
-    """The square of one letter as a polynomial in u: sn^2, cn^2 or dn^2."""
-    return {"s": (0.0, 1.0), "c": (1.0, -1.0), "d": (1.0, -ksq)}[letter]
-
-
-def _chain_factors(species: Species, ksq: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Polynomial cofactors (t, chain) of d/dchi on one coordinate.
-
-    The chain rule on sn' = cn dn, cn' = -sn dn, dn' = -k^2 sn cn toggles
-    every letter of the species and leaves the cofactor t * P + 2 * chain * P'
-    of the polynomial part P: t has one term per present letter, chain is
-    the product of the present letters' squares.
-    """
-    eps_s, eps_c, eps_d = species.parity
-    one = (1.0,)
-    u_pow = _square("s", ksq) if eps_s else one
-    c_pow = _square("c", ksq) if eps_c else one
-    d_pow = _square("d", ksq) if eps_d else one
-
-    t = (0.0,)
-    if eps_s:
-        t = _padd(t, _pmul(c_pow, d_pow))
-    if eps_c:
-        t = _padd(t, tuple(-x for x in _pmul(u_pow, d_pow)))
-    if eps_d:
-        t = _padd(t, tuple(-ksq * x for x in _pmul(u_pow, c_pow)))
-    return t, _pmul(u_pow, _pmul(c_pow, d_pow))
+        return _vander(u, len(self.coeffs)) @ np.asarray(self.coeffs)
 
 
 def differentiate(p: SnPoly) -> SnPoly:
-    """Exact d/dchi of a one-coordinate block (see ``_chain_factors``)."""
-    t, chain_pref = _chain_factors(p.species, p.ksq)
-    q = _pmul(p.coeffs, t)
-    chain = _pmul(chain_pref, _pder(p.coeffs))
-    q = _ptrim(_padd(q, tuple(2.0 * x for x in chain)))
-    return SnPoly(p.species.flipped("scd"), q, p.ksq)
+    """Exact d/dchi of a one-coordinate block (see ``chain_rule``)."""
+    q = _trim(chain_rule(np.asarray(p.coeffs)[:, None], p.species, p.ksq))
+    return SnPoly(p.species.flipped("scd"), q[:, 0].tolist(), p.ksq)
 
 
 def mul_factor(p: SnPoly, letter: str) -> SnPoly:
@@ -212,11 +266,10 @@ def mul_factor(p: SnPoly, letter: str) -> SnPoly:
     """
     if letter not in _LETTERS:
         raise ValueError(f"letter must be one of 's','c','d', got {letter!r}")
-    present = getattr(p.species, f"has_{letter}")
     species = p.species.flipped(letter)
-    if not present:
+    if not getattr(p.species, f"has_{letter}"):
         return SnPoly(species, p.coeffs, p.ksq)
-    return SnPoly(species, _pmul(p.coeffs, _square(letter, p.ksq)), p.ksq)
+    return SnPoly(species, times_square(np.asarray(p.coeffs), letter, p.ksq).tolist(), p.ksq)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +280,8 @@ def mul_factor(p: SnPoly, letter: str) -> SnPoly:
 class BiSnPoly:
     """Two-coordinate block: prefactors on both sides times P(u, v).
 
-    ``coeffs[s, t]`` multiplies u^s v^t with u = sn^2(chi1 | k1^2) and
-    v = sn^2(chi2 | k2^2).
+    ``coeffs[s, t]`` multiplies T_s(2u - 1) T_t(2v - 1) with
+    u = sn^2(chi1 | k1^2) and v = sn^2(chi2 | k2^2).
     """
 
     species_a: Species
@@ -238,7 +291,9 @@ class BiSnPoly:
     k2sq: float
 
     def __post_init__(self) -> None:
-        arr = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
+        arr = np.asarray(self.coeffs, dtype=float)
+        if arr.ndim < 2:
+            arr = np.atleast_2d(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -257,22 +312,11 @@ class BiSnPoly:
     def plus(self, other: "BiSnPoly") -> "BiSnPoly":
         if (self.species_a, self.species_b) != (other.species_a, other.species_b):
             raise ValueError("cannot add blocks of different species")
-        s = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        t = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        out = np.zeros((s, t))
-        out[: self.coeffs.shape[0], : self.coeffs.shape[1]] += self.coeffs
-        out[: other.coeffs.shape[0], : other.coeffs.shape[1]] += other.coeffs
+        out = _add(self.coeffs, other.coeffs)
         return BiSnPoly(self.species_a, self.species_b, out, self.k1sq, self.k2sq)
 
     def trimmed(self) -> "BiSnPoly":
-        c = self.coeffs
-        scale = np.abs(c).max()
-        tol = _TRIM_RTOL * scale
-        rows = np.where(np.abs(c).max(axis=1) > tol)[0]
-        cols = np.where(np.abs(c).max(axis=0) > tol)[0]
-        s = rows.max() + 1 if rows.size else 1
-        t = cols.max() + 1 if cols.size else 1
-        return BiSnPoly(self.species_a, self.species_b, c[:s, :t], self.k1sq, self.k2sq)
+        return BiSnPoly(self.species_a, self.species_b, _trim(self.coeffs), self.k1sq, self.k2sq)
 
     def evaluate_grid(self, chi1, chi2) -> np.ndarray:
         """Values on the outer grid of two 1-d argument arrays."""
@@ -288,8 +332,8 @@ class BiSnPoly:
         fb = jb.sn**eb[0] * jb.cn**eb[1] * jb.dn**eb[2]
         u = np.asarray(ja.sn) ** 2
         v = np.asarray(jb.sn) ** 2
-        up = np.vander(np.atleast_1d(u), self.coeffs.shape[0], increasing=True)
-        vp = np.vander(np.atleast_1d(v), self.coeffs.shape[1], increasing=True)
+        up = _vander(np.atleast_1d(u), self.coeffs.shape[0])
+        vp = _vander(np.atleast_1d(v), self.coeffs.shape[1])
         poly = up @ self.coeffs @ vp.T
         return np.outer(fa, fb) * poly
 
@@ -297,61 +341,25 @@ class BiSnPoly:
         return float(self.evaluate_grid([chi1], [chi2])[0, 0])
 
 
-def _apply_upoly(coeffs: np.ndarray, poly: tuple[float, ...], axis: int) -> np.ndarray:
-    """Multiply a 2-d coefficient table by a u- (or v-) polynomial along one axis."""
-    grow = len(poly) - 1
-    shape = list(coeffs.shape)
-    shape[axis] += grow
-    out = np.zeros(shape)
-    idx: list[slice] = [slice(None), slice(None)]
-    for i, ci in enumerate(poly):
-        if ci == 0.0:
-            continue
-        idx[axis] = slice(i, i + coeffs.shape[axis])
-        out[tuple(idx)] += ci * coeffs
-    return out
-
-
-def _der_axis(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """d/du (or d/dv) of the polynomial table along one axis."""
-    n = coeffs.shape[axis]
-    if n == 1:
-        return np.zeros_like(coeffs)
-    weights = np.arange(1, n)
-    sl: list[slice] = [slice(None), slice(None)]
-    sl[axis] = slice(1, None)
-    chunk = coeffs[tuple(sl)]
-    shape = [-1, 1] if axis == 0 else [1, -1]
-    return chunk * weights.reshape(shape)
-
-
-def _differentiate_axis(p: BiSnPoly, axis: int) -> BiSnPoly:
-    species = p.species_a if axis == 0 else p.species_b
-    ksq = p.k1sq if axis == 0 else p.k2sq
-    t, chain_pref = _chain_factors(species, ksq)
-
-    out = _apply_upoly(p.coeffs, t, axis)
-    chain = _apply_upoly(2.0 * _der_axis(p.coeffs, axis), chain_pref, axis)
-    s = max(out.shape[0], chain.shape[0])
-    tt = max(out.shape[1], chain.shape[1])
-    total = np.zeros((s, tt))
-    total[: out.shape[0], : out.shape[1]] += out
-    total[: chain.shape[0], : chain.shape[1]] += chain
-
-    flipped = species.flipped("scd")
+def _side_op(p: BiSnPoly, axis: int, letters: str, kernel=None) -> BiSnPoly:
+    """Toggle letters of one side's species; apply kernel(c, species, ksq) on its axis."""
+    species, ksq = (p.species_a, p.k1sq) if axis == 0 else (p.species_b, p.k2sq)
+    coeffs = p.coeffs
+    if kernel is not None:
+        coeffs = kernel(coeffs, species, ksq) if axis == 0 else kernel(coeffs.T, species, ksq).T
     if axis == 0:
-        return BiSnPoly(flipped, p.species_b, total, p.k1sq, p.k2sq).trimmed()
-    return BiSnPoly(p.species_a, flipped, total, p.k1sq, p.k2sq).trimmed()
+        return BiSnPoly(species.flipped(letters), p.species_b, coeffs, p.k1sq, p.k2sq)
+    return BiSnPoly(p.species_a, species.flipped(letters), coeffs, p.k1sq, p.k2sq)
 
 
 def d_chi1(p: BiSnPoly) -> BiSnPoly:
     """Exact partial derivative in the first coordinate."""
-    return _differentiate_axis(p, 0)
+    return _side_op(p, 0, "scd", chain_rule).trimmed()
 
 
 def d_chi2(p: BiSnPoly) -> BiSnPoly:
     """Exact partial derivative in the second coordinate."""
-    return _differentiate_axis(p, 1)
+    return _side_op(p, 1, "scd", chain_rule).trimmed()
 
 
 def mul_factor_bi(p: BiSnPoly, letter: str, side: int) -> BiSnPoly:
@@ -359,25 +367,21 @@ def mul_factor_bi(p: BiSnPoly, letter: str, side: int) -> BiSnPoly:
     if letter not in _LETTERS:
         raise ValueError(f"letter must be one of 's','c','d', got {letter!r}")
     axis = 0 if side == 1 else 1
-    species = p.species_a if axis == 0 else p.species_b
-    ksq = p.k1sq if axis == 0 else p.k2sq
-    present = getattr(species, f"has_{letter}")
-    new_species = species.flipped(letter)
-    coeffs = p.coeffs
-    if present:
-        coeffs = _apply_upoly(coeffs, _square(letter, ksq), axis)
-    if axis == 0:
-        return BiSnPoly(new_species, p.species_b, coeffs, p.k1sq, p.k2sq)
-    return BiSnPoly(p.species_a, new_species, coeffs, p.k1sq, p.k2sq)
+    if not getattr(p.species_a if axis == 0 else p.species_b, f"has_{letter}"):
+        return _side_op(p, axis, letter)
+    return _side_op(p, axis, letter, lambda c, species, ksq: times_square(c, letter, ksq))
 
 
 def divide_by_scale(p: BiSnPoly, k1sq: float | None = None, k2sq: float | None = None) -> BiSnPoly:
     """Divide a block by the metric factor W = 1 - k1^2 u - k2^2 v, exactly.
 
-    The quotient is produced by the forward recursion
-    Q[s,t] = C[s,t] + k1^2 Q[s-1,t] + k2^2 Q[s,t-1] and then verified by
-    multiplying back; a remainder above 1e-10 of the dividend scale raises
-    NotDivisible.
+    The quotient Q, of the dividend's shape, solves
+    (I - k1^2 U) Q - k2^2 Q U^T = C with U the truncated multiply-by-u
+    matrix; in values at the Chebyshev nodes of each axis (see
+    ``_node_transform``) that is one pointwise division by W. Multiplying
+    back verifies it: a remainder above 1e-10 of the dividend scale raises
+    NotDivisible. The same remainder, restricted to the dividend's shape,
+    gives one refinement step.
     """
     a = p.k1sq if k1sq is None else k1sq
     b = p.k2sq if k2sq is None else k2sq
@@ -385,27 +389,33 @@ def divide_by_scale(p: BiSnPoly, k1sq: float | None = None, k2sq: float | None =
         raise ValueError("moduli disagree with the block's own moduli")
     c = p.coeffs
     ns, nt = c.shape
-    q = np.zeros_like(c)
-    for s in range(ns):
-        for t in range(nt):
-            acc = c[s, t]
-            if s:
-                acc += a * q[s - 1, t]
-            if t:
-                acc += b * q[s, t - 1]
-            q[s, t] = acc
+    fwd_u, inv_u = _node_transform(ns)
+    fwd_v, inv_v = _node_transform(nt)
+    # W at the nodes, transformed from its coefficients like the dividend
+    # rather than evaluated, so that both carry the same rounding (a
+    # dividend equal to -W divides to exactly -1).
+    w = np.zeros((ns + 1, nt + 1))
+    w[0, 0], w[1, 0], w[0, 1] = 1.0 - 0.5 * (a + b), -0.5 * a, -0.5 * b
+    w_nodes = fwd_u @ w[:ns, :nt] @ fwd_v.T
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return inv_u @ ((fwd_u @ rhs @ fwd_v.T) / w_nodes) @ inv_v.T
+
+    q = _trim(solve(c))
     # multiply back: W * Q has one extra degree in each variable
+    m, n = q.shape
     wq = np.zeros((ns + 1, nt + 1))
-    wq[:ns, :nt] += q
-    wq[1 : ns + 1, :nt] -= a * q
-    wq[:ns, 1 : nt + 1] -= b * q
+    wq[:m, :n] += q
     wq[:ns, :nt] -= c
+    wq[: m + 1, :n] -= a * (_u_matrix(m) @ q)
+    wq[:m, : n + 1] -= b * (q @ _u_matrix(n).T)
     scale = max(float(np.abs(c).max()), float(np.abs(q).max()), 1.0)
     worst = float(np.abs(wq).max())
-    if worst > 1e-10 * scale:
+    if not np.isfinite(worst) or worst > 1e-10 * scale:
         raise NotDivisible(
             f"remainder {worst:.3e} exceeds 1e-10 of scale {scale:.3e}"
         )
+    q = _add(q, -solve(wq[:ns, :nt]))
     return BiSnPoly(p.species_a, p.species_b, q, p.k1sq, p.k2sq).trimmed()
 
 

@@ -233,17 +233,47 @@ def angular_l3_mono_printed(k1):
     }
 
 
+def _per_axis(coeffs, convert):
+    """Apply a 1-d coefficient conversion along every axis, keeping the shape."""
+
+    def padded(c):
+        new = convert(c)
+        return np.pad(new, (0, len(c) - len(new)))
+
+    out = np.asarray(coeffs, dtype=float)
+    for axis in range(out.ndim):
+        out = np.apply_along_axis(padded, axis, out)
+    return out
+
+
+def to_monomial(coeffs):
+    """Powers of u (lowest first) of shifted-Chebyshev coefficients, per axis."""
+    P = np.polynomial
+    return _per_axis(
+        coeffs, lambda c: P.Chebyshev(c, domain=[0, 1]).convert(kind=P.Polynomial).coef
+    )
+
+
+def from_monomial(coeffs):
+    """Shifted-Chebyshev coefficients of a polynomial in powers of u, per axis."""
+    P = np.polynomial
+    return _per_axis(
+        coeffs, lambda c: P.Polynomial(c).convert(kind=P.Chebyshev, domain=[0, 1]).coef
+    )
+
+
 def multiply_by_scale(block):
-    """Reference product of a two-coordinate block with W = 1 - k1^2 u - k2^2 v."""
+    """Reference product of a two-coordinate block with W = 1 - k1^2 u - k2^2 v,
+    formed on the power coefficients."""
     from spheroconal.polyalg import BiSnPoly
 
-    c = block.coeffs
+    c = to_monomial(block.coeffs)
     ns, nt = c.shape
     out = np.zeros((ns + 1, nt + 1))
     out[:ns, :nt] += c
     out[1:, :nt] -= block.k1sq * c
     out[:ns, 1:] -= block.k2sq * c
-    return BiSnPoly(block.species_a, block.species_b, out, block.k1sq, block.k2sq)
+    return BiSnPoly(block.species_a, block.species_b, from_monomial(out), block.k1sq, block.k2sq)
 
 
 def linear_l1_alphas(k1):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end via ``main(argv)``."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -209,6 +210,25 @@ def test_verify_injected_fault_exits_1(capsys):
     by_name = {r["invariant"]: r for r in doc["invariants"]}
     assert by_name["eigenvalue-sum"]["passed"] is False
     assert by_name["multiplet-trace"]["passed"] is True
+
+
+def test_verify_checks_commutators_above_degree_4(capsys, monkeypatch):
+    real = cli.apply_angular_momentum
+
+    def skewed(axis, state, cfg):
+        dec = real(axis, state, cfg)
+        if (state.ell, axis) != (7, "x") or not dec.terms:
+            return dec
+        first = dataclasses.replace(dec.terms[0], coefficient=dec.terms[0].coefficient * 1.000001)
+        return dataclasses.replace(dec, terms=(first,) + dec.terms[1:])
+
+    monkeypatch.setattr(cli, "apply_angular_momentum", skewed)
+    code, out, err = run_cli(capsys, "verify", "--e1", "0.75", "--lmax", "7")
+    assert code == 1
+    by_name = {r["invariant"]: r for r in json.loads(out)["invariants"]}
+    assert by_name["divisibility"]["passed"] is True
+    assert by_name["commutators"]["passed"] is False
+    assert by_name["squared-momentum-closure"]["passed"] is False
 
 
 def run_python(*argv):

@@ -1,11 +1,13 @@
 """Ladder decompositions: angular and linear momentum actions, node shifts."""
 
+import time
+
 import numpy as np
 import pytest
 
 from spheroconal import harmonics, lame_solver, ladder
 from spheroconal.asymmetry import e1_from_modulus, from_e1, from_moments
-from spheroconal.errors import LadderEnd, ProjectionResidual
+from spheroconal.errors import LadderEnd, Singular
 from spheroconal.harmonics import build_basis
 from spheroconal.ladder import (
     L_CONVENTION,
@@ -405,15 +407,23 @@ def test_decompositions_do_not_depend_on_call_order():
     assert forward == backward == again
 
 
-def test_failing_decomposition_fails_on_every_call():
-    cfg = from_e1(0.55)
-    (state,) = [s for s in build_basis(14, cfg) if (s.label, s.n1) == ("1", 0)]
-    messages = []
+def test_failing_decomposition_fails_on_every_call(monkeypatch):
+    cfg = from_e1(0.5713)
+    (state,) = [s for s in build_basis(3, cfg) if s.label == "xyz"]
+    ladder._family.cache_clear()
+    calls = []
+
+    def singular(matrix):
+        calls.append(matrix)
+        raise Singular("forced")
+
+    monkeypatch.setattr(ladder, "invert_basis", singular)
     for _ in range(2):
-        with pytest.raises(ProjectionResidual) as info:
-            apply_linear_momentum("z", state, cfg)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+        with pytest.raises(Singular, match="forced"):
+            apply_angular_momentum("z", state, cfg)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert apply_angular_momentum("z", state, cfg).terms
 
 
 def test_caches_stay_bounded_over_a_long_sweep():
@@ -426,3 +436,39 @@ def test_caches_stay_bounded_over_a_long_sweep():
         info = cache.cache_info()
         # 360 fresh asymmetries add 2880 solves, 360 bases and 1080 families.
         assert info.currsize == info.maxsize
+
+
+def test_every_op_succeeds_at_degrees_14_to_16():
+    """Every L and P decomposition of every state of degrees 14..16 at
+    e1 = 0.55 and 0.75 succeeds, in under 10 s."""
+    start = time.perf_counter()
+    for e1 in (0.55, 0.75):
+        cfg = from_e1(e1)
+        for ell in (14, 15, 16):
+            for state in build_basis(ell, cfg):
+                for op in OPS:
+                    dec = _decompose(op, state, cfg)
+                    assert dec.operator == op
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"degrees 14..16 took {elapsed:.2f} s"
+
+
+def test_degree50_angular_momentum_spectrum_and_casimir():
+    """At degree 50 (e1 = 0.55) the eigenvalues of each L matrix are
+    -50..50 within 1e-11 max|L|, and Lx^2 + Ly^2 + Lz^2 = l(l+1) within
+    1e-10 (max|L|)^2, in under 10 s."""
+    start = time.perf_counter()
+    ell = 50
+    cfg = from_e1(0.55)
+    mats = {ax: angular_momentum_matrix(ax, ell, cfg) for ax in "xyz"}
+    scale = max(float(np.abs(m).max()) for m in mats.values())
+    for axis, mat in mats.items():
+        eigs = np.linalg.eigvals(mat)
+        assert np.abs(eigs.imag).max() <= 1e-11 * scale, axis
+        gap = np.abs(np.sort(eigs.real) - np.arange(-ell, ell + 1)).max()
+        assert gap <= 1e-11 * float(np.abs(mat).max()), (axis, gap)
+    casimir = sum(m @ m for m in mats.values())
+    closure = np.abs(casimir - ell * (ell + 1) * np.eye(2 * ell + 1)).max()
+    assert closure <= 1e-10 * scale**2, closure
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"degree-50 matrices took {elapsed:.2f} s"

@@ -20,7 +20,7 @@ from spheroconal.polyalg import (
     mul_factor_bi,
 )
 
-from _forms import multiply_by_scale
+from _forms import from_monomial, multiply_by_scale, to_monomial
 
 ALL_TAGS = ("1", "s", "c", "d", "sc", "sd", "cd", "scd")
 
@@ -89,14 +89,14 @@ def test_differentiate_small_cases():
     k = 0.3
     # Constants die; single letters obey the textbook derivatives.
     zero = differentiate(SnPoly(Species.from_tag("1"), (1.0,), k))
-    assert zero.coeffs == (0.0,)
+    assert tuple(to_monomial(zero.coeffs)) == (0.0,)
     d_sn = differentiate(SnPoly(Species.from_tag("s"), (1.0,), k))
     assert d_sn.species == Species.from_tag("cd")
-    assert d_sn.coeffs == (1.0,)
+    assert tuple(to_monomial(d_sn.coeffs)) == (1.0,)
     # d/dchi sn^2 = 2 sn cn dn.
-    d_u = differentiate(SnPoly(Species.from_tag("1"), (0.0, 1.0), k))
+    d_u = differentiate(SnPoly(Species.from_tag("1"), from_monomial((0.0, 1.0)), k))
     assert d_u.species == Species.from_tag("scd")
-    assert d_u.coeffs == (2.0,)
+    assert tuple(to_monomial(d_u.coeffs)) == (2.0,)
 
 
 def test_differentiate_matches_central_difference():
@@ -115,12 +115,12 @@ def test_mul_factor_small_cases():
     k = 0.3
     s_on_one = mul_factor(SnPoly(Species.from_tag("1"), (1.0,), k), "s")
     assert s_on_one.species == Species.from_tag("s")
-    assert s_on_one.coeffs == (1.0,)
+    assert tuple(to_monomial(s_on_one.coeffs)) == (1.0,)
     d_on_d = mul_factor(SnPoly(Species.from_tag("d"), (1.0,), k), "d")
     assert d_on_d.species == Species.from_tag("1")
-    assert d_on_d.coeffs == (1.0, -k)
+    assert tuple(to_monomial(d_on_d.coeffs)) == (1.0, -k)
     c_on_c = mul_factor(SnPoly(Species.from_tag("c"), (1.0,), k), "c")
-    assert c_on_c.coeffs == (1.0, -1.0)
+    assert tuple(to_monomial(c_on_c.coeffs)) == (1.0, -1.0)
     with pytest.raises(ValueError, match="letter must be one of"):
         mul_factor(s_on_one, "x")
 
@@ -224,26 +224,26 @@ def test_divide_by_scale_on_the_scale_itself():
     w = BiSnPoly(
         Species.from_tag("1"),
         Species.from_tag("1"),
-        np.array([[1.0, -k2], [-k1, 0.0]]),
+        from_monomial([[1.0, -k2], [-k1, 0.0]]),
         k1,
         k2,
     )
     one = divide_by_scale(w)
     assert one.trimmed().coeffs.shape == (1, 1)
-    assert one.coeffs[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert to_monomial(one.coeffs)[0, 0] == pytest.approx(1.0, abs=1e-14)
     # W times (u + 3) divides back to (u + 3).
     shifted = multiply_by_scale(
         BiSnPoly(
             Species.from_tag("1"),
             Species.from_tag("1"),
-            np.array([[3.0], [1.0]]),
+            from_monomial([[3.0], [1.0]]),
             k1,
             k2,
         )
     )
-    q = divide_by_scale(shifted).trimmed()
-    assert q.coeffs[0, 0] == pytest.approx(3.0, abs=1e-13)
-    assert q.coeffs[1, 0] == pytest.approx(1.0, abs=1e-13)
+    q = to_monomial(divide_by_scale(shifted).trimmed().coeffs)
+    assert q[0, 0] == pytest.approx(3.0, abs=1e-13)
+    assert q[1, 0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_divide_by_scale_failures():
