@@ -5,8 +5,8 @@ asymmetric rotor in spheroconal coordinates, the matching rotational
 spectra, and three families of exact ladder actions connecting the
 eigenfunctions: node exchanges inside a multiplet, angular-momentum
 shifts at fixed degree, and linear-momentum shifts between adjacent
-degrees. A finite-difference oracle provides an independent numerical
-route to every operator for cross-validation.
+degrees. A spectral oracle provides an independent numerical route to
+every operator for cross-validation.
 """
 
 from .asymmetry import AsymmetryConfig, e1_from_modulus, from_e1, from_moments
@@ -14,7 +14,6 @@ from .elliptic import JacobiTriple, jacobi, quarter_period
 from .errors import (
     DegenerateEigenvalues,
     Divergent,
-    GridTooCoarse,
     InvalidOrdering,
     InversionFailure,
     LadderEnd,
@@ -72,7 +71,6 @@ __all__ = [
     "DegenerateEigenvalues",
     "Divergent",
     "GridField",
-    "GridTooCoarse",
     "InvalidOrdering",
     "InversionFailure",
     "JacobiTriple",

@@ -8,8 +8,8 @@ Three subcommands share one asymmetry-input convention (``--e1`` or
   eigenvalue pair and reduced energy (absolute energy too when moments
   are given).
 * ``ladder`` decomposes one operator over a whole degree block and,
-  under ``--verify``, scores each decomposition against the
-  finite-difference oracle.
+  under ``--verify``, scores each decomposition against the spectral
+  oracle.
 * ``verify`` runs the structural invariant suite and reports pass/fail
   per invariant.
 
@@ -223,7 +223,7 @@ def _decompose(op: str, state, cfg: AsymmetryConfig) -> LadderDecomposition:
 
 
 def _oracle_residual(op: str, state, dec: LadderDecomposition, cfg, grid) -> float:
-    """Relative RMS gap between the stencil action and the decomposition."""
+    """Relative RMS gap between the spectral action and the decomposition."""
     chi1, chi2 = grid
     fd = fd_operator(op, state_field(state, chi1, chi2), cfg)
     predicted = np.zeros_like(fd.values)
@@ -257,7 +257,7 @@ def cmd_ladder(run: RunConfig) -> int:
     cfg = run.asymmetry()
     ell = run.lmax
     basis = build_basis(ell, cfg)
-    grid = make_grid(cfg) if run.verify else None
+    grid = make_grid(cfg, ell) if run.verify else None
     records = []
     worst = 0.0
     for op in run.operators:
@@ -507,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lad.add_argument(
         "--verify",
         action="store_true",
-        help="score every decomposition against the finite-difference oracle",
+        help="score every decomposition against the spectral oracle",
     )
 
     p_ver = sub.add_parser("verify", help="run the structural invariant suite")

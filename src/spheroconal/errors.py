@@ -93,9 +93,5 @@ class ProjectionResidual(SpheroconalError):
 # Grid-oracle errors
 
 
-class GridTooCoarse(SpheroconalError):
-    """Finite-difference stencils at step h and 2h disagree beyond tolerance."""
-
-
 class RankDeficient(SpheroconalError):
     """The least-squares Gram matrix of a fitting basis is ill-conditioned."""

@@ -1,21 +1,22 @@
 """Independent numerical checks: grid operators and Cartesian rotor spectra.
 
 Everything here is deliberately redundant with the exact polynomial algebra:
-differential operators are applied by fourth-order finite differences on a
-grid over the elliptic coordinates, and low-degree spectra are recomputed in
-a Cartesian monomial basis. Agreement between the two routes is what the
-test suite (and the CLI verify mode) certifies.
+differential operators are applied by Fourier spectral derivatives on a
+grid over one full period of both elliptic coordinates, and low-degree
+spectra are recomputed in a Cartesian monomial basis. Agreement between
+the two routes is what the test suite (and the CLI verify mode) certifies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymmetry import AsymmetryConfig
 from .elliptic import jacobi, quarter_period
-from .errors import GridTooCoarse, RankDeficient
+from .errors import RankDeficient
 from .harmonics import SpheroconalHarmonic, evaluate
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 _KINDS = ("L2", "Hstar", "Lx", "Ly", "Lz", "Px", "Py", "Pz")
+_TAIL_LOG = math.log(1e-13)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,19 +60,44 @@ class GridField:
         object.__setattr__(self, "values", values)
 
 
-def make_grid(config: AsymmetryConfig, n: int = 160, margin: float = 0.88) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform grids spanning ``margin`` of each quarter-period box.
+def _axis_size(ell: int, log_nome: float) -> int:
+    """Smallest power of two, at least 32, that resolves a degree-``ell`` field.
 
-    The box stays clear of the corner |sn| = 1 on both axes, where the
-    metric factor W vanishes and quotients lose accuracy.
+    The Fourier coefficients of sn, cn and dn fall by the nome q per step
+    of two harmonics, so harmonic ell + 2m of a degree-``ell`` product is
+    bounded by about C(m + ell, ell) q^m times its leading one. The grid
+    puts its Nyquist harmonic n/2 past the point where that bound drops
+    below 1e-13.
     """
-    if n < 40:
-        raise ValueError(f"grids need at least 40 points, got {n}")
+    n = 32
+    while True:
+        m = (n // 2 - ell) / 2
+        if m > 0:
+            log_binom = math.lgamma(m + ell + 1) - math.lgamma(m + 1) - math.lgamma(ell + 1)
+            if log_binom + m * log_nome < _TAIL_LOG:
+                return n
+        n *= 2
+
+
+def make_grid(config: AsymmetryConfig, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """One full period [-2K, 2K) per axis, offset by half a step.
+
+    Every harmonic is 4K-periodic in each coordinate, so spectral
+    derivatives of a degree-``ell`` field on these grids are exact to
+    rounding. The sizes grow with ``ell`` and with each axis's K/K' (see
+    ``_axis_size``). They are powers of two, hence multiples of 4, so no
+    node lands on |sn| = 1 and the metric factor W never vanishes.
+    """
+    if ell < 0:
+        raise ValueError(f"degree must be nonnegative, got {ell}")
     k1 = quarter_period(config.k1sq)
     k2 = quarter_period(config.k2sq)
-    chi1 = np.linspace(-margin * k1, margin * k1, n)
-    chi2 = np.linspace(-margin * k2, margin * k2, n)
-    return chi1, chi2
+    grids = []
+    for k, co in ((k1, k2), (k2, k1)):
+        n = _axis_size(ell, -math.pi * co / k)
+        step = 4.0 * k / n
+        grids.append(-2.0 * k + step * (np.arange(n) + 0.5))
+    return grids[0], grids[1]
 
 
 def state_field(state: SpheroconalHarmonic, chi1, chi2) -> GridField:
@@ -78,50 +105,20 @@ def state_field(state: SpheroconalHarmonic, chi1, chi2) -> GridField:
     return GridField(chi1, chi2, evaluate(state, chi1, chi2))
 
 
-def _deriv(values: np.ndarray, h: float, axis: int, order: int, stride: int = 1) -> np.ndarray:
-    """Fourth-order central derivative along one axis at spacing stride*h.
-
-    Returns the derivative on the interior where the widest (stride = 2)
-    stencil is defined, so results at different strides are comparable.
-    """
-
-    def shift(k: int) -> np.ndarray:
-        lo = 4 + k * stride
-        hi = values.shape[axis] - 4 + k * stride
-        sl: list[slice] = [slice(None), slice(None)]
-        sl[axis] = slice(lo, hi if hi != 0 else None)
-        return values[tuple(sl)]
-
-    hh = stride * h
-    if order == 1:
-        return (shift(-2) - 8.0 * shift(-1) + 8.0 * shift(1) - shift(2)) / (12.0 * hh)
-    if order == 2:
-        return (
-            -shift(-2) + 16.0 * shift(-1) - 30.0 * shift(0) + 16.0 * shift(1) - shift(2)
-        ) / (12.0 * hh * hh)
-    raise ValueError(f"order must be 1 or 2, got {order}")
-
-
-def _checked_deriv(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    """Derivative with a Richardson step-doubling consistency check.
-
-    The comparison scale includes the field magnitude so that fields with
-    (near-)vanishing derivatives are not flagged on roundoff alone.
-    """
-    fine = _deriv(values, h, axis, order, stride=1)
-    coarse = _deriv(values, h, axis, order, stride=2)
-    scale = max(float(np.abs(fine).max()), float(np.abs(values).max()), 1e-30)
-    gap = float(np.abs(fine - coarse).max()) / scale
-    if gap > 1e-4:
-        raise GridTooCoarse(
-            f"step-doubling disagreement {gap:.3e} for axis-{axis + 1} "
-            f"derivative of order {order}"
-        )
-    return fine
+def _spectral_deriv(values: np.ndarray, period: float, axis: int, order: int) -> np.ndarray:
+    """Fourier derivative of a field periodic with ``period`` along one axis."""
+    n = values.shape[axis]
+    factor = (2j * np.pi / period * np.arange(n // 2 + 1)) ** order
+    if order % 2 and n % 2 == 0:
+        factor[-1] = 0.0  # the Nyquist mode of a real field has no odd derivative
+    shape = [1, 1]
+    shape[axis] = -1
+    coeffs = np.fft.rfft(values, axis=axis) * factor.reshape(shape)
+    return np.fft.irfft(coeffs, n=n, axis=axis)
 
 
 def fd_operator(kind: str, field: GridField, config: AsymmetryConfig) -> GridField:
-    """Apply one separated operator to a sampled field by finite differences.
+    """Apply one separated operator to a sampled field by spectral derivatives.
 
     Kinds
     -----
@@ -136,20 +133,23 @@ def fd_operator(kind: str, field: GridField, config: AsymmetryConfig) -> GridFie
         The angular derivative term of the linear momentum with the metric
         scale cancelled: the field r * d(psi)/d(x_i) restricted to the sphere.
 
-    The output grids are trimmed to the interior where the widest stencil
-    fits. GridTooCoarse is raised when step doubling shifts any requested
-    derivative by more than 1e-4 relative.
+    Each grid must span exactly one period 4K of its coordinate (see
+    ``make_grid``); ValueError is raised otherwise. The output lives on the
+    same grids as the input.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {_KINDS}")
     chi1, chi2, values = field.chi1, field.chi2, field.values
-    h1 = float(chi1[1] - chi1[0])
-    h2 = float(chi2[1] - chi2[0])
-    inner1 = chi1[4:-4]
-    inner2 = chi2[4:-4]
+    periods = (4.0 * quarter_period(config.k1sq), 4.0 * quarter_period(config.k2sq))
+    for axis, (chi, period) in enumerate(zip((chi1, chi2), periods)):
+        span = chi.size * float(chi[1] - chi[0])
+        if abs(span - period) > 1e-9 * period:
+            raise ValueError(
+                f"axis {axis + 1} grid spans {span:.6g}, not one period 4K = {period:.6g}"
+            )
 
-    s1, c1, d1 = jacobi(inner1, config.k1sq)
-    s2, c2, d2 = jacobi(inner2, config.k2sq)
+    s1, c1, d1 = jacobi(chi1, config.k1sq)
+    s2, c2, d2 = jacobi(chi2, config.k2sq)
     u = (s1 * s1)[:, None]
     v = (s2 * s2)[None, :]
     w = 1.0 - config.k1sq * u - config.k2sq * v
@@ -161,8 +161,8 @@ def fd_operator(kind: str, field: GridField, config: AsymmetryConfig) -> GridFie
         return x[None, :]
 
     if kind in ("L2", "Hstar"):
-        d11 = _checked_deriv(values, h1, 0, 2)[:, 4:-4]
-        d22 = _checked_deriv(values, h2, 1, 2)[4:-4, :]
+        d11 = _spectral_deriv(values, periods[0], 0, 2)
+        d22 = _spectral_deriv(values, periods[1], 1, 2)
         if kind == "L2":
             out = -(d11 + d22) / w
         else:
@@ -170,10 +170,10 @@ def fd_operator(kind: str, field: GridField, config: AsymmetryConfig) -> GridFie
             coef1 = e1 - (e1 - e2) * v
             coef2 = e3 + (e2 - e3) * u
             out = -(coef1 * d11 + coef2 * d22) / (2.0 * w)
-        return GridField(inner1, inner2, out)
+        return GridField(chi1, chi2, out)
 
-    g1 = _checked_deriv(values, h1, 0, 1)[:, 4:-4]
-    g2 = _checked_deriv(values, h2, 1, 1)[4:-4, :]
+    g1 = _spectral_deriv(values, periods[0], 0, 1)
+    g2 = _spectral_deriv(values, periods[1], 1, 1)
     a = config.k1sq
     b = config.k2sq
     if kind == "Lx":
@@ -188,7 +188,7 @@ def fd_operator(kind: str, field: GridField, config: AsymmetryConfig) -> GridFie
         out = (-col(s1 * d1) * row(c2) * g1 - col(c1) * row(s2 * d2) * g2) / w
     else:  # Pz
         out = (col(c1 * d1) * row(d2) * g1 - b * col(s1) * row(s2 * c2) * g2) / w
-    return GridField(inner1, inner2, out)
+    return GridField(chi1, chi2, out)
 
 
 def fit_in_basis(field: GridField, basis: list[SpheroconalHarmonic]) -> tuple[np.ndarray, float]:

@@ -3,8 +3,8 @@
 Everything here was derived by hand (characteristic polynomials of the
 small banded matrices, root formulas for the quadratics, the corrected
 cubic for the degree-4 trivial species) and then cross-checked against
-the solver and a finite-difference oracle before being frozen. All
-eigenvalue lists are ascending, matching the solver's ordering.
+the solver and a grid oracle before being frozen. All eigenvalue lists
+are ascending, matching the solver's ordering.
 """
 
 import math
@@ -27,7 +27,7 @@ def cubic_roots(k):
     The middle coefficient carries the square of (1 + k); a widely printed
     form of this cubic drops that square, which shifts the roots by order
     one. The corrected version below reproduces the solver and the
-    finite-difference oracle.
+    spectral oracle.
     """
     poly = [1.0, -20.0 * (1 + k), 64.0 * (1 + k) ** 2 + 208.0 * k, -640.0 * k * (1 + k)]
     return sorted(np.roots(poly).real)

@@ -2,8 +2,8 @@
 
 Each test prints one pass/fail line under ``pytest -v``. Reference values
 come from tests/_forms.py, where every closed form was derived by hand and
-cross-checked against the solver and the finite-difference oracle before
-being frozen. Known misprints in the reference tabulations are demonstrated
+cross-checked against the solver and the grid oracle before being
+frozen. Known misprints in the reference tabulations are demonstrated
 numerically and reported through ``warnings.warn`` so they show up in the
 test output without failing the build.
 """
@@ -151,7 +151,7 @@ def test_criterion_3_sum_rules_through_degree_50():
 
 def test_criterion_4_degree1_angular_actions():
     """The nine degree-1 angular actions are 0 or +-1 exactly (1e-12), and
-    each decomposition agrees with the finite-difference oracle to 1e-6."""
+    each decomposition agrees with the spectral oracle to 1e-6."""
     want = {
         ("x", "x"): {}, ("x", "y"): {"z": 1.0}, ("x", "z"): {"y": -1.0},
         ("y", "x"): {"z": -1.0}, ("y", "y"): {}, ("y", "z"): {"x": 1.0},
@@ -167,7 +167,7 @@ def test_criterion_4_degree1_angular_actions():
             for label, value in table.items():
                 assert abs(got[label] - value) < 1e-12, (k1, axis, source)
     cfg = modulus_config(0.5)
-    grid = make_grid(cfg)
+    grid = make_grid(cfg, 1)
     basis = {s.label: s for s in build_basis(1, cfg)}
     for (axis, source) in want:
         state = basis[source]
@@ -181,7 +181,7 @@ def test_criterion_5_tabulated_ladder_actions():
     match the solver up to one orientation per state (1e-9); closed-form
     coefficient formulas and the degree-1 projection weights match to 1e-9
     at k1^2 in {0.3, 0.5, 0.7}; every decomposition involved agrees with
-    the finite-difference oracle to 1e-6."""
+    the spectral oracle to 1e-6."""
     xyz_key = ("xyz", 2, 1)
     for k1 in MODULI:
         cfg = modulus_config(k1)
@@ -354,11 +354,9 @@ def test_criterion_5_tabulated_ladder_actions():
             assert abs(got[(2, 0)] - coeffs[0]) < 1e-9
             assert abs(got[(2, 2)] - coeffs[1]) < 1e-9
 
-        # Every decomposition the tables cover agrees with the stencil.
-        # The finer grid keeps the step-doubling guard quiet at the
-        # lopsided moduli.
-        grid = make_grid(cfg, n=240)
+        # Every decomposition the tables cover agrees with the oracle.
         for ell, op_kind in ((2, "L"), (3, "L"), (1, "P")):
+            grid = make_grid(cfg, ell)
             for state in build_basis(ell, cfg):
                 for axis in "xyz":
                     if op_kind == "L":
@@ -371,34 +369,33 @@ def test_criterion_5_tabulated_ladder_actions():
                     assert residual < 1e-6, (k1, ell, axis, state.label, residual)
 
 
-def test_criterion_6_stencil_eigenvalues_through_degree_6():
+def test_criterion_6_spectral_eigenvalues_through_degree_50():
     """Regression estimates of the squared-momentum and reduced-energy
-    stencil eigenvalues match l(l+1) and E*2/2 for every state with
-    degree at most 6, at all four asymmetry points, within a relative
-    1e-5, in under 60 s."""
+    spectral eigenvalues match l(l+1) and E*2/2 for every state of
+    degrees 0..12, 16, 24, 32 and 50, at all four asymmetry points,
+    within a relative 1e-9, in under 60 s."""
     start = time.perf_counter()
     worst = 0.0
     for e1 in E1_POINTS:
         cfg = from_e1(e1)
-        chi1, chi2 = make_grid(cfg, n=240)
-        for ell in range(7):
+        for ell in (*range(13), 16, 24, 32, 50):
+            grid = make_grid(cfg, ell)
             for state in build_basis(ell, cfg):
-                field = state_field(state, chi1, chi2)
-                inner = field.values[4:-4, 4:-4]
-                norm = float(np.sum(inner * inner))
+                field = state_field(state, *grid)
+                norm = float(np.sum(field.values**2))
                 lam = float(
-                    np.sum(inner * fd_operator("L2", field, cfg).values) / norm
+                    np.sum(field.values * fd_operator("L2", field, cfg).values) / norm
                 )
                 scale = max(1.0, ell * (ell + 1))
                 worst = max(worst, abs(lam - ell * (ell + 1)) / scale)
                 mu = float(
-                    np.sum(inner * fd_operator("Hstar", field, cfg).values) / norm
+                    np.sum(field.values * fd_operator("Hstar", field, cfg).values) / norm
                 )
                 scale = max(1.0, abs(state.estar2) / 2.0)
                 worst = max(worst, abs(mu - state.estar2 / 2.0) / scale)
     elapsed = time.perf_counter() - start
-    assert worst < 1e-5, f"worst stencil eigenvalue error {worst:.3e}"
-    assert elapsed < 60.0, f"stencil sweep took {elapsed:.1f} s"
+    assert worst < 1e-9, f"worst spectral eigenvalue error {worst:.3e}"
+    assert elapsed < 60.0, f"spectral sweep took {elapsed:.1f} s"
 
 
 def test_criterion_7_matrix_algebra_and_divisibility():

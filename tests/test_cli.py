@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,39 @@ def test_ladder_verify_exit_3_when_threshold_exceeded(capsys, monkeypatch):
     )
     assert code == 3
     assert "oracle residual" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--e1", "0.62", "--l", "3", *(f"--op={op}" for op in cli._OPERATORS)),
+        ("--e1", "0.75", "--l", "4", "--op", "Lz", "--op", "Px"),
+        ("--e1", "0.75", "--l", "5", "--op", "Lz"),
+        ("--e1", "0.55", "--l", "6", "--op", "Lx"),
+    ],
+    ids=["e1=0.62-l=3-all", "e1=0.75-l=4-Lz-Px", "e1=0.75-l=5-Lz", "e1=0.55-l=6-Lx"],
+)
+def test_ladder_verify_accepts_correct_low_degree_blocks(capsys, argv):
+    code, out, err = run_cli(capsys, "ladder", *argv, "--verify")
+    assert code == 0, err
+    assert max(r["residual"] for r in json.loads(out)["ladders"]) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "e1, ell",
+    [(0.55, 50), (0.95, 50), (0.5001, 10), (0.5001, 16), (0.9999, 10), (0.9999, 16)],
+)
+def test_ladder_verify_across_the_advertised_range(capsys, e1, ell):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "ladder", "--e1", repr(e1), "--l", str(ell), "--op", "Lx", "--op", "Pz", "--verify"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    records = json.loads(out)["ladders"]
+    assert len(records) == 2 * (2 * ell + 1)
+    assert max(r["residual"] for r in records) <= 1e-6
+    assert elapsed < 30.0, f"degree-{ell} verify took {elapsed:.1f} s"
 
 
 def test_ladder_csv_keeps_empty_decompositions(capsys):

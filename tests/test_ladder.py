@@ -68,7 +68,7 @@ def test_degree1_angular_actions_are_unit(modulus_config):
 
 
 def test_degree1_angular_actions_match_stencil(mid_config):
-    grid = make_grid(mid_config)
+    grid = make_grid(mid_config, 1)
     basis = build_basis(1, mid_config)
     for axis in "xyz":
         for state in basis:
@@ -289,9 +289,9 @@ def test_linear_bracket_fields_degree1(mid_config):
 
 
 def test_linear_actions_match_stencil_degree1(mid_config):
-    # The stencil field is (l+1)/(2l+1) times the lowering group minus
+    # The oracle field is (l+1)/(2l+1) times the lowering group minus
     # l times the raising group; fit it in the joint neighbor basis.
-    grid = make_grid(mid_config)
+    grid = make_grid(mid_config, 1)
     basis1 = build_basis(1, mid_config)
     joint = build_basis(0, mid_config) + build_basis(2, mid_config)
     for axis in "xyz":

@@ -1,10 +1,11 @@
-"""Finite-difference oracle: grids, stencil operators, basis fits."""
+"""Spectral oracle: full-period grids, spectral operators, basis fits."""
 
 import numpy as np
 import pytest
 
-from spheroconal.elliptic import quarter_period
-from spheroconal.errors import GridTooCoarse, RankDeficient
+from spheroconal.asymmetry import from_e1
+from spheroconal.elliptic import jacobi, quarter_period
+from spheroconal.errors import RankDeficient
 from spheroconal.harmonics import build_basis, evaluate
 from spheroconal.oracle import (
     GridField,
@@ -17,15 +18,30 @@ from spheroconal.oracle import (
 
 
 def test_make_grid_shape_and_bounds(mid_config):
-    chi1, chi2 = make_grid(mid_config)
-    for chi, ksq in ((chi1, mid_config.k1sq), (chi2, mid_config.k2sq)):
-        assert chi.shape == (160,)
-        steps = np.diff(chi)
-        assert steps.min() > 0
-        assert np.ptp(steps) < 1e-12
-        assert np.abs(chi).max() < quarter_period(ksq)
-    with pytest.raises(ValueError, match="at least 40 points"):
-        make_grid(mid_config, n=39)
+    for cfg in (mid_config, from_e1(0.55), from_e1(0.95)):
+        for ell in (0, 3, 16):
+            chi1, chi2 = make_grid(cfg, ell)
+            for chi, ksq in ((chi1, cfg.k1sq), (chi2, cfg.k2sq)):
+                n = chi.size
+                assert n >= 32 and n & (n - 1) == 0, n
+                period = 4.0 * quarter_period(ksq)
+                step = period / n
+                assert np.abs(np.diff(chi) - step).max() < 1e-12
+                # one full period [-2K, 2K), offset by half a step
+                assert chi[0] == pytest.approx(-period / 2 + step / 2, abs=1e-12)
+                assert chi[-1] == pytest.approx(period / 2 - step / 2, abs=1e-12)
+                assert np.abs(jacobi(chi, ksq).sn).max() < 1.0
+            u = jacobi(chi1, cfg.k1sq).sn[:, None] ** 2
+            v = jacobi(chi2, cfg.k2sq).sn[None, :] ** 2
+            assert (1.0 - cfg.k1sq * u - cfg.k2sq * v).min() > 0.0
+    sizes = [make_grid(mid_config, ell)[0].size for ell in (0, 6, 16, 32, 50)]
+    assert sizes == sorted(sizes) and sizes[-1] > sizes[0], sizes
+    # The axis with the larger K/K' (the slower Fourier decay) gets more points.
+    for e1, longer in ((0.55, 0), (0.95, 1)):
+        grids = make_grid(from_e1(e1), 6)
+        assert grids[longer].size > grids[1 - longer].size, e1
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_grid(mid_config, -1)
 
 
 def test_grid_field_validation():
@@ -41,34 +57,32 @@ def test_grid_field_validation():
 
 
 def test_state_field_samples_the_wavefunction(mid_config):
-    chi1, chi2 = make_grid(mid_config, n=48)
+    chi1, chi2 = make_grid(mid_config, 2)
     state = build_basis(2, mid_config)[0]
     field = state_field(state, chi1, chi2)
-    assert field.values.shape == (48, 48)
+    assert field.values.shape == (chi1.size, chi2.size)
     assert np.array_equal(field.values, evaluate(state, chi1, chi2))
 
 
-def rayleigh(kind, state, config, n=160):
-    """Regression estimate of the eigenvalue of one stencil operator."""
-    chi1, chi2 = make_grid(config, n=n)
-    field = state_field(state, chi1, chi2)
-    inner = field.values[4:-4, 4:-4]
+def rayleigh(kind, state, config):
+    """Regression estimate of the eigenvalue of one spectral operator."""
+    field = state_field(state, *make_grid(config, state.ell))
     out = fd_operator(kind, field, config)
-    return float(np.sum(inner * out.values) / np.sum(inner * inner))
+    return float(np.sum(field.values * out.values) / np.sum(field.values**2))
 
 
 def test_stencil_eigenvalues_degree2_and_3(mid_config):
     for ell in (2, 3):
         for state in build_basis(ell, mid_config):
             lam = rayleigh("L2", state, mid_config)
-            assert abs(lam / (ell * (ell + 1)) - 1.0) < 1e-5, (ell, state.label)
+            assert abs(lam / (ell * (ell + 1)) - 1.0) < 1e-12, (ell, state.label)
             mu = rayleigh("Hstar", state, mid_config)
             scale = max(1.0, abs(state.estar2) / 2.0)
-            assert abs(mu - state.estar2 / 2.0) < 1e-5 * scale, (ell, state.label)
+            assert abs(mu - state.estar2 / 2.0) < 1e-12 * scale, (ell, state.label)
 
 
 def test_stencil_angular_momentum_kills_the_constant(mid_config):
-    chi1, chi2 = make_grid(mid_config, n=64)
+    chi1, chi2 = make_grid(mid_config, 0)
     (ground,) = build_basis(0, mid_config)
     field = state_field(ground, chi1, chi2)
     for kind in ("Lx", "Ly", "Lz"):
@@ -76,22 +90,28 @@ def test_stencil_angular_momentum_kills_the_constant(mid_config):
         assert np.abs(out.values).max() < 1e-10, kind
 
 
-def test_stencil_refuses_coarse_grids(mid_config):
-    chi1, chi2 = make_grid(mid_config, n=40)
+def test_operator_rejects_fields_off_one_period(mid_config):
     state = build_basis(3, mid_config)[0]
-    with pytest.raises(GridTooCoarse, match="step-doubling disagreement"):
-        fd_operator("L2", state_field(state, chi1, chi2), mid_config)
+    k1 = quarter_period(mid_config.k1sq)
+    chi1, chi2 = make_grid(mid_config, 3)
+    box = np.linspace(-0.88 * k1, 0.88 * k1, 64)
+    half = chi1[: chi1.size // 2]
+    other = make_grid(from_e1(0.55), 3)
+    for grids in ((box, chi2), (chi1, half), other):
+        field = state_field(state, *grids)
+        with pytest.raises(ValueError, match="not one period"):
+            fd_operator("L2", field, mid_config)
 
 
 def test_unknown_operator_kind(mid_config):
-    chi1, chi2 = make_grid(mid_config, n=48)
+    chi1, chi2 = make_grid(mid_config, 0)
     (ground,) = build_basis(0, mid_config)
     with pytest.raises(ValueError, match="unknown operator kind"):
         fd_operator("Qx", state_field(ground, chi1, chi2), mid_config)
 
 
 def test_fit_recovers_scaled_member(mid_config):
-    chi1, chi2 = make_grid(mid_config, n=64)
+    chi1, chi2 = make_grid(mid_config, 2)
     basis = build_basis(2, mid_config)
     target = state_field(basis[1], chi1, chi2)
     scaled = GridField(chi1, chi2, 2.5 * target.values)
@@ -103,14 +123,14 @@ def test_fit_recovers_scaled_member(mid_config):
 
 
 def test_fit_rejects_out_of_band_content(mid_config):
-    chi1, chi2 = make_grid(mid_config, n=64)
+    chi1, chi2 = make_grid(mid_config, 4)
     intruder = build_basis(4, mid_config)[2]
     _, residual = fit_in_basis(state_field(intruder, chi1, chi2), build_basis(2, mid_config))
     assert residual > 0.1
 
 
 def test_fit_degenerate_basis_and_empty_basis(mid_config):
-    chi1, chi2 = make_grid(mid_config, n=64)
+    chi1, chi2 = make_grid(mid_config, 1)
     state = build_basis(1, mid_config)[0]
     field = state_field(state, chi1, chi2)
     with pytest.raises(RankDeficient, match="condition number"):
