@@ -222,18 +222,36 @@ def _decompose(op: str, state, cfg: AsymmetryConfig) -> LadderDecomposition:
     return apply_linear_momentum(op[1], state, cfg)
 
 
-def _oracle_residual(op: str, state, dec: LadderDecomposition, cfg, grid) -> float:
-    """Relative RMS gap between the spectral action and the decomposition."""
-    chi1, chi2 = grid
-    fd = fd_operator(op, state_field(state, chi1, chi2), cfg)
+class _Fields(dict):
+    """Fields on one grid of the states of degrees ell - 1, ell and ell + 1,
+    keyed by (ell, label, n1); each state is sampled on first use."""
+
+    def __init__(self, cfg: AsymmetryConfig, ell: int, grid) -> None:
+        super().__init__()
+        self.grid = grid
+        self.states = {
+            (s.ell, s.label, s.n1): s
+            for degree in range(max(ell - 1, 0), ell + 2)
+            for s in build_basis(degree, cfg)
+        }
+
+    def __missing__(self, key):
+        field = self[key] = state_field(self.states[key], *self.grid)
+        return field
+
+
+def _oracle_residual(op: str, state, dec: LadderDecomposition, cfg, grid, fields=None) -> float:
+    """Relative RMS gap between the spectral action and the decomposition.
+
+    ``fields`` shares the sampled states of ``grid`` between calls.
+    """
+    if fields is None:
+        fields = _Fields(cfg, state.ell, grid)
+    source = fields[(state.ell, state.label, state.n1)]
+    fd = fd_operator(op, source, cfg)
     predicted = np.zeros_like(fd.values)
     for term in dec.terms:
-        target = next(
-            s
-            for s in build_basis(term.target.ell, cfg)
-            if (s.label, s.n1) == (term.target.label, term.target.n1)
-        )
-        values = state_field(target, fd.chi1, fd.chi2).values
+        values = fields[(term.target.ell, term.target.label, term.target.n1)].values
         if op[0] == "P":
             ell = state.ell
             weight = (
@@ -244,12 +262,11 @@ def _oracle_residual(op: str, state, dec: LadderDecomposition, cfg, grid) -> flo
             predicted += weight * term.coefficient * values
         else:
             predicted += term.coefficient * values
-    source = state_field(state, fd.chi1, fd.chi2).values
 
     def rms(a) -> float:
         return float(np.sqrt(np.mean(np.square(a))))
 
-    denom = max(rms(fd.values), rms(predicted), rms(source), 1e-30)
+    denom = max(rms(fd.values), rms(predicted), rms(source.values), 1e-30)
     return rms(fd.values - predicted) / denom
 
 
@@ -258,6 +275,7 @@ def cmd_ladder(run: RunConfig) -> int:
     ell = run.lmax
     basis = build_basis(ell, cfg)
     grid = make_grid(cfg, ell) if run.verify else None
+    fields = _Fields(cfg, ell, grid) if run.verify else None
     records = []
     worst = 0.0
     for op in run.operators:
@@ -286,7 +304,7 @@ def cmd_ladder(run: RunConfig) -> int:
                 ],
             }
             if run.verify:
-                residual = _oracle_residual(op, state, dec, cfg, grid)
+                residual = _oracle_residual(op, state, dec, cfg, grid, fields)
                 rec["residual"] = residual
                 worst = max(worst, residual)
             records.append(rec)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,8 +75,6 @@ class SpheroconalHarmonic:
         One-coordinate eigenvalues, h1 + h2 = ell (ell + 1).
     estar2 : float
         Scaled asymmetry energy 2E* = e1 h1 + e3 h2.
-    wavefunction : BiSnPoly
-        The product block; both polynomial parts have P(0) = 1.
     parities : tuple of int
         Signs under the reflections x -> -x, y -> -y, z -> -z.
     label : str
@@ -93,11 +91,18 @@ class SpheroconalHarmonic:
     h1: float
     h2: float
     estar2: float
-    wavefunction: BiSnPoly
     parities: tuple[int, int, int]
     label: str
     lame1: LamePolynomial
     lame2: LamePolynomial
+
+    @cached_property
+    def wavefunction(self) -> BiSnPoly:
+        """The product block; both polynomial parts have P(0) = 1.
+
+        Built on first read; later reads return the same object.
+        """
+        return BiSnPoly.from_product(self.lame1.poly, self.lame2.poly)
 
 
 @lru_cache(maxsize=256)
@@ -144,7 +149,6 @@ def _build_basis_cached(ell: int, config: AsymmetryConfig) -> tuple[SpheroconalH
                     h1=one.h,
                     h2=two.h,
                     estar2=e1 * one.h + e3 * two.h,
-                    wavefunction=BiSnPoly.from_product(one.poly, two.poly),
                     parities=parities,
                     label=label,
                     lame1=one,

@@ -12,14 +12,17 @@ spectrum in a well-conditioned form: the h of a species are the
 eigenvalues of one real symmetric Wang block of Lx^2 + k^2 Ly^2 (Wang 1929;
 King, Hainer & Cross 1943), each rounded to the nearest float by exact
 integer arithmetic.
+
+Energies need only the h, so eigenvalues and eigenpolynomials have separate
+bounded caches: ``solve`` fills the first, and the polynomials of a species
+are built the first time any member's ``LamePolynomial.poly`` is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,15 +46,27 @@ class LamePolynomial:
         Node count on the requested coordinate side.
     h : float
         Separation eigenvalue.
-    poly : SnPoly
-        The full block (prefactor and polynomial part), P(0) = 1.
+    ksq : float
+        Squared modulus of the coordinate.
+    rank : int
+        Position of h among the eigenvalues of (ell, species, ksq), ascending.
     """
 
     ell: int
     species: Species
     n: int
     h: float
-    poly: SnPoly
+    ksq: float
+    rank: int
+
+    @cached_property
+    def poly(self) -> SnPoly:
+        """The full block (prefactor and polynomial part), P(0) = 1.
+
+        Built for the whole species on first read; later reads return the
+        same object.
+        """
+        return _eigenpolynomials(self.ell, self.species, self.ksq)[self.rank]
 
 
 def matrix_size(ell: int, species: Species) -> int:
@@ -139,59 +154,75 @@ def _nearest_root(diag: list[int], off2: list[int], scale: int, rank: int, guess
     which the ill-conditioned basis inversions in the ladders amplify, so
     the root is bracketed and bisected on the exact characteristic sign:
     near root ``rank``, det(x - block) has the sign (-1)^(n - 1 - rank)
-    above it and the opposite below.
+    above it and the opposite below. The sign at the guess tells on which
+    side of it the root lies, and the bracket is walked out on that side only.
     """
     orient = (-1) ** (len(diag) - 1 - rank)
 
-    def side(x) -> int:
-        """Sign of x - root for a float or Fraction x, from det(x - block)."""
-        num, den = x.as_integer_ratio()
+    def side(num: int, den: int) -> int:
+        """Sign of x - root at x = num/den (den > 0), from det(x - block)."""
         xs = scale * num
         prev, cur = 1, xs - den * diag[0]
         for d, b in zip(diag[1:], off2):
             prev, cur = cur, (xs - den * d) * cur - den * den * b * prev
         return orient * ((cur > 0) - (cur < 0))
 
+    def side_at(x: float) -> int:
+        return side(*x.as_integer_ratio())
+
     lo = hi = float(guess)
-    step = math.ulp(guess)
-    while side(lo) > 0:
-        lo, step = lo - step, 2 * step
-    step = math.ulp(guess)
-    while side(hi) < 0:
-        hi, step = hi + step, 2 * step
+    above = side_at(lo)
+    if above == 0:
+        return lo
+    step = math.ulp(lo)
+    if above > 0:
+        while side_at(lo := hi - step) > 0:
+            hi, step = lo, 2 * step
+    else:
+        while side_at(hi := lo + step) < 0:
+            lo, step = hi, 2 * step
     while lo < (mid := (lo + hi) / 2) < hi:
-        if side(mid) >= 0:
+        if side_at(mid) >= 0:
             hi = mid
         else:
             lo = mid
-    exact_mid = (Fraction(lo) + Fraction(hi)) / 2
-    above = side(exact_mid)
-    return lo if above > 0 else hi if above < 0 else float(exact_mid)
+    # lo and hi are neighbours, and mid is the one with an even last bit.
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    above = side(a * d + c * b, 2 * b * d)
+    return lo if above > 0 else hi if above < 0 else mid
 
 
 @lru_cache(maxsize=2048)
-def _solve_cached(ell: int, species: Species, ksq: float) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    n = matrix_size(ell, species)
-    if n == 0:
+def _eigenvalues(ell: int, species: Species, ksq: float) -> tuple[float, ...]:
+    """The h of (ell, species, ksq), ascending, each correctly rounded."""
+    if matrix_size(ell, species) == 0:
         return ()
-    mat = build_matrix(ell, species, ksq)
     diag, off2, unit = _wang_block(ell, species, ksq)
     off = [math.sqrt(b) / unit for b in off2]
     block = np.diag([d / unit for d in diag]) + np.diag(off, 1) + np.diag(off, -1)
     guesses = np.linalg.eigvalsh(block)
-    hs = np.array([_nearest_root(diag, off2, unit, r, g) for r, g in enumerate(guesses)])
-    scale = max(1.0, float(np.abs(hs).max()))
-    if n > 1 and np.diff(hs).min() < 1e-13 * scale:
+    hs = [_nearest_root(diag, off2, unit, r, g) for r, g in enumerate(guesses)]
+    scale = max(1.0, max(abs(h) for h in hs))
+    if len(hs) > 1 and min(b - a for a, b in zip(hs, hs[1:])) < 1e-13 * scale:
         raise DegenerateEigenvalues(
             f"eigenvalue spacing below tolerance in species {species.tag(1)!r} at degree {ell}"
         )
+    return tuple(hs)
+
+
+@lru_cache(maxsize=2048)
+def _eigenpolynomials(ell: int, species: Species, ksq: float) -> tuple[SnPoly, ...]:
+    """The blocks of (ell, species, ksq) in the order of ``_eigenvalues``."""
+    hs = np.array(_eigenvalues(ell, species, ksq))
+    n = len(hs)
+    mat = build_matrix(ell, species, ksq)
     # Null vectors of mat - h I with P(0) = sum_j (-1)^j c_j = 1, from the
     # consistent full-rank bordered systems [mat - h I; (-1)^j] c = e_n by one
     # batched QR (a quarter of the cost of SVD null vectors, equal to 2e-13).
     # The rounding left in P(0) goes into the smallest coefficient.
     signs = (-1.0) ** np.arange(n)
     bordered = np.concatenate(
-        [mat - hs[:, None, None] * np.eye(n), np.broadcast_to(signs, (len(hs), 1, n))], axis=1
+        [mat - hs[:, None, None] * np.eye(n), np.broadcast_to(signs, (n, 1, n))], axis=1
     )
     q, r = np.linalg.qr(bordered)
     vecs = np.linalg.solve(r, q[:, -1, :, None])[..., 0]
@@ -199,7 +230,7 @@ def _solve_cached(ell: int, species: Species, ksq: float) -> tuple[tuple[float, 
     for c in vecs:
         j = np.argmin(np.abs(c))
         c[j] += signs[j] * (1.0 - math.fsum(c * signs))
-    return tuple((float(h), tuple(v.tolist())) for h, v in zip(hs, vecs))
+    return tuple(SnPoly(species, tuple(v.tolist()), ksq) for v in vecs)
 
 
 def solve(ell: int, species: Species, ksq: float, side: int = 1) -> list[LamePolynomial]:
@@ -207,17 +238,10 @@ def solve(ell: int, species: Species, ksq: float, side: int = 1) -> list[LamePol
 
     Node counts follow the species ladder of the requested coordinate side:
     n = node_base(side) + 2 * rank. The polynomial blocks themselves do not
-    depend on the side.
+    depend on the side, and are built when one is first read.
     """
-    pairs = _solve_cached(ell, species, ksq)
     base = species.node_base(side)
     return [
-        LamePolynomial(
-            ell=ell,
-            species=species,
-            n=base + 2 * rank,
-            h=h,
-            poly=SnPoly(species, coeffs, ksq),
-        )
-        for rank, (h, coeffs) in enumerate(pairs)
+        LamePolynomial(ell=ell, species=species, n=base + 2 * rank, h=h, ksq=ksq, rank=rank)
+        for rank, h in enumerate(_eigenvalues(ell, species, ksq))
     ]

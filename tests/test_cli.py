@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import spheroconal
-from spheroconal import cli
+from spheroconal import cli, lame_solver
 from spheroconal.errors import ProjectionResidual
 
 
@@ -63,6 +63,17 @@ def test_spectrum_csv_matches_json(capsys):
         assert (int(row["n1"]), int(row["n2"])) == (state["n1"], state["n2"])
         for field in ("h1", "h2", "estar2"):
             assert float(row[field]) == state[field]
+
+
+def test_spectrum_builds_no_eigenpolynomial(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("spectrum built an eigenpolynomial matrix")
+
+    lame_solver._eigenpolynomials.cache_clear()
+    monkeypatch.setattr(lame_solver, "build_matrix", refuse)
+    code, out, err = run_cli(capsys, "spectrum", "--e1", "0.75", "--lmax", "20")
+    assert code == 0, err
+    assert len(json.loads(out)["states"]) == 21 * 21
 
 
 def test_spectrum_moments_adds_energy(capsys):
@@ -153,6 +164,28 @@ def test_ladder_verify_exit_3_when_threshold_exceeded(capsys, monkeypatch):
     )
     assert code == 3
     assert "oracle residual" in err
+
+
+def test_ladder_verify_samples_each_state_once(capsys, monkeypatch):
+    """--verify samples each state of degrees l - 1, l and l + 1 at most
+    once per run, however many operators and terms reach it."""
+    calls = []
+    sample = cli.state_field
+
+    def counting(state, chi1, chi2):
+        calls.append((state.ell, state.label, state.n1))
+        return sample(state, chi1, chi2)
+
+    monkeypatch.setattr(cli, "state_field", counting)
+    ell = 3
+    code, out, err = run_cli(
+        capsys,
+        "ladder", "--e1", "0.8", "--l", str(ell),
+        *(f"--op={op}" for op in cli._OPERATORS), "--verify",
+    )
+    assert code == 0, err
+    assert len(json.loads(out)["ladders"]) == 6 * (2 * ell + 1)
+    assert len(calls) == len(set(calls)) <= 6 * ell + 3
 
 
 @pytest.mark.parametrize(
@@ -301,3 +334,15 @@ def test_import_does_not_load_mpmath():
     proc = run_python("-c", "import sys, spheroconal; print('mpmath' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_arbitrary_precision_modules():
+    """Every CLI process pays its import path: it loads none of mpmath,
+    fractions or decimal."""
+    proc = run_python(
+        "-c",
+        "import sys, spheroconal.cli; "
+        "print([m for m in ('mpmath', 'fractions', 'decimal') if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

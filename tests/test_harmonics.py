@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spheroconal import lame_solver
 from spheroconal.asymmetry import from_e1, from_moments
 from spheroconal.elliptic import jacobi
 from spheroconal.errors import MissingScale, OutOfRange
@@ -170,3 +171,34 @@ def test_evaluate_xyz_rejects_non_unit_directions(mid_config):
 def test_species_for_label_rejects_garbage():
     with pytest.raises(ValueError, match="unknown label"):
         species_for_label("w")
+
+
+def test_polynomials_are_built_once_on_first_read(mid_config):
+    for s in build_basis(4, mid_config):
+        assert s.wavefunction is s.wavefunction
+        assert s.lame1.poly is s.lame1.poly
+        assert s.lame2.poly is s.lame2.poly
+
+
+def test_basis_builds_no_eigenpolynomial_until_read(monkeypatch):
+    """A degree-50 basis needs only eigenvalues; its polynomials, read
+    afterwards, still satisfy the ODE to 1e-10."""
+
+    def refuse(*args):
+        raise AssertionError("basis built an eigenpolynomial matrix")
+
+    lame_solver._eigenpolynomials.cache_clear()
+    monkeypatch.setattr(lame_solver, "build_matrix", refuse)
+    ell = 50
+    basis = build_basis(ell, from_e1(0.55))
+    assert len(basis) == 2 * ell + 1
+    monkeypatch.undo()
+    worst = 0.0
+    for s in basis:
+        for lame in (s.lame1, s.lame2):
+            image = np.asarray(lame_solver.apply_operator(lame.poly, ell).coeffs)
+            poly = np.zeros_like(image)
+            poly[: len(lame.poly.coeffs)] = lame.poly.coeffs
+            scale = max(np.abs(poly).max(), 1.0) * max(1.0, abs(lame.h))
+            worst = max(worst, np.abs(image - lame.h * poly).max() / scale)
+    assert worst <= 1e-10, f"worst ode residual {worst:.3e}"

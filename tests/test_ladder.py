@@ -427,14 +427,21 @@ def test_failing_decomposition_fails_on_every_call(monkeypatch):
 
 
 def test_caches_stay_bounded_over_a_long_sweep():
-    caches = (lame_solver._solve_cached, harmonics._build_basis_cached, ladder._family)
+    caches = (
+        lame_solver._eigenvalues,
+        lame_solver._eigenpolynomials,
+        harmonics._build_basis_cached,
+        ladder._family,
+    )
     for e1 in np.linspace(0.56, 0.94, 360):
         cfg = from_e1(float(e1))
         for state in build_basis(1, cfg):
             ladder._family(1, cfg, state.species_a, state.species_b)
     for cache in caches:
         info = cache.cache_info()
-        # 360 fresh asymmetries add 2880 solves, 360 bases and 1080 families.
+        # 360 fresh asymmetries add 2880 eigenvalue solves, 2160 polynomial
+        # solves (the families read every member's polynomials), 360 bases
+        # and 1080 families.
         assert info.currsize == info.maxsize
 
 

@@ -10,7 +10,14 @@ import pytest
 
 from spheroconal.asymmetry import from_e1
 from spheroconal.errors import WrongKind
-from spheroconal.lame_solver import apply_operator, build_matrix, matrix_size, solve
+from spheroconal.lame_solver import (
+    _nearest_root,
+    _wang_block,
+    apply_operator,
+    build_matrix,
+    matrix_size,
+    solve,
+)
 from spheroconal.polyalg import Species
 
 from _forms import SIDE1_TAGS, table2_h
@@ -106,6 +113,37 @@ def test_solve_returns_correctly_rounded_eigenvalues():
         root = Decimal(3).sqrt()
     hs = [s.h for s in solve(2, sp("1"), 0.5)]
     assert hs == [float(3 - root), float(3 + root)]
+
+
+def _ulps_away(x, count):
+    for _ in range(abs(count)):
+        x = math.nextafter(x, math.copysign(math.inf, count))
+    return x
+
+
+def test_nearest_root_does_not_depend_on_the_guess():
+    """Guesses 1, 7 and 1000 ulps either side of each h round to that h."""
+    for e1 in (0.55, 0.9):
+        ksq = from_e1(e1).k1sq
+        for ell in (2, 10, 40):
+            for tag in allowed_tags(ell):
+                block = _wang_block(ell, sp(tag), ksq)
+                for s in solve(ell, sp(tag), ksq):
+                    for count in (-1000, -7, -1, 1, 7, 1000):
+                        guess = _ulps_away(s.h, count)
+                        assert _nearest_root(*block, s.rank, guess) == s.h, (ell, tag, count)
+
+
+def test_nearest_root_breaks_the_tie_to_even_from_either_side():
+    # h = 1 + k of degree 1, species s, lies exactly between two floats.
+    tie = 0.9342970264944647
+    exact = 1 + Fraction(tie)
+    below, above = math.floor(exact * 2**52) / 2**52, math.ceil(exact * 2**52) / 2**52
+    assert Fraction(below) < exact < Fraction(above)
+    assert (Fraction(below) + Fraction(above)) / 2 == exact
+    block = _wang_block(1, sp("s"), tie)
+    for guess in (below, above, _ulps_away(below, -7), _ulps_away(above, 7)):
+        assert _nearest_root(*block, 0, guess) == 1.0 + tie
 
 
 def test_solve_side2_node_assignment():
