@@ -17,10 +17,8 @@ Exit codes: 0 success, 1 failed invariant or numerical failure (the
 message names the exception class), 2 bad parameters, 3 oracle residual
 above threshold.
 
-All reals are printed with 17 significant digits so a JSON or CSV file
-round-trips to the exact double. The stdlib json encoder delegates float
-formatting to repr, which is shortest-form rather than fixed-precision,
-so the emitters here format numbers themselves.
+Reals are printed as the shortest ``repr`` that round-trips exactly, so a
+JSON or CSV file parses back to the same doubles.
 """
 
 from __future__ import annotations
@@ -29,8 +27,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,9 +47,8 @@ from .lame_solver import apply_operator
 from .oracle import fd_operator, make_grid, state_field
 from .polyalg import divide_by_scale
 
-# angular_momentum_matrix and divide_by_scale are not called here; they stay
-# bound in this namespace because the benchmark tracer (bench/spans.py)
-# wraps them here.
+# divide_by_scale is not called here; it stays bound in this namespace
+# because the benchmark tracer (bench/spans.py) wraps it here.
 
 __all__ = ["main", "entry"]
 
@@ -62,7 +60,6 @@ _RESIDUAL_LIMIT = 1e-6
 class RunConfig:
     """Validated invocation parameters shared by the subcommands."""
 
-    mode: str
     e1: float | None
     moments: tuple[float, float, float] | None
     lmax: int
@@ -74,13 +71,15 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.lmax < 0:
             raise ValueError(f"lmax must be nonnegative, got {self.lmax}")
-        if (self.mode == "e1") != (self.e1 is not None) or (
-            self.mode == "moments"
-        ) != (self.moments is not None):
+        if (self.e1 is None) == (self.moments is None):
             raise ValueError("exactly one of e1 and moments must be set")
 
+    @property
+    def mode(self) -> str:
+        return "e1" if self.moments is None else "moments"
+
     def asymmetry(self) -> AsymmetryConfig:
-        if self.mode == "moments":
+        if self.moments is not None:
             return from_moments(*self.moments)
         return from_e1(self.e1)
 
@@ -89,55 +88,19 @@ class RunConfig:
 # Serialization
 
 
-def _fmt(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return f"{float(x):.17g}"
-
-
-def _emit_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {_emit_json(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        rows = [f"{inner}{_emit_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _emit_json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def _emit_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
     if not rows:
         return ""
-    fields = list(rows[0].keys())
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row.values()):
+        raise ValueError("cannot serialize non-finite values")
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {
-                k: _fmt(v) if isinstance(v, (float, np.floating)) else v
-                for k, v in row.items()
-            }
-        )
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -283,23 +246,10 @@ def cmd_ladder(run: RunConfig) -> int:
             dec = _decompose(op, state, cfg)
             rec = {
                 "operator": op,
-                "source": {
-                    "ell": state.ell,
-                    "label": state.label,
-                    "n1": state.n1,
-                    "n2": state.n2,
-                },
+                "source": asdict(dec.source),
                 "convention": dec.convention,
                 "terms": [
-                    {
-                        "target": {
-                            "ell": t.target.ell,
-                            "label": t.target.label,
-                            "n1": t.target.n1,
-                            "n2": t.target.n2,
-                        },
-                        "coefficient": t.coefficient,
-                    }
+                    {"target": asdict(t.target), "coefficient": t.coefficient}
                     for t in dec.terms
                 ],
             }
@@ -406,35 +356,21 @@ def _invariant_suite(cfg: AsymmetryConfig, lmax: int, inject_fault: bool) -> lis
         }
     )
 
-    # The L matrices of every degree are built from the same decompositions
-    # that the divisibility check makes; a degree with a failed one has none.
-    failures = 0
-    count = 0
+    # A degree whose decompositions fail has no matrices.
     matrices = {}
-    for ell, basis in bases.items():
-        index = {(s.label, s.n1): i for i, s in enumerate(basis)}
-        mats = {ax: np.zeros((len(basis), len(basis)), dtype=complex) for ax in "xyz"}
-        complete = True
-        for j, s in enumerate(basis):
-            for axis in "xyz":
-                count += 1
-                try:
-                    dec = apply_angular_momentum(axis, s, cfg)
-                except SpheroconalError:
-                    failures += 1
-                    complete = False
-                    continue
-                for term in dec.terms:
-                    i = index[(term.target.label, term.target.n1)]
-                    mats[axis][i, j] = 1j * term.coefficient
-        if complete:
-            matrices[ell] = mats
+    failed = []
+    for ell in bases:
+        try:
+            matrices[ell] = {ax: angular_momentum_matrix(ax, ell, cfg) for ax in "xyz"}
+        except SpheroconalError as exc:
+            failed.append(f"l={ell} {type(exc).__name__}")
     results.append(
         {
             "invariant": "divisibility",
-            "passed": failures == 0,
-            "worst": float(failures),
-            "detail": f"{count - failures}/{count} angular actions divide by the metric factor",
+            "passed": not failed,
+            "worst": float(len(failed)),
+            "detail": f"{len(matrices)}/{len(bases)} degree blocks divide by the metric factor"
+            + "".join(f"; {f}" for f in failed),
         }
     )
 
@@ -449,12 +385,11 @@ def _invariant_suite(cfg: AsymmetryConfig, lmax: int, inject_fault: bool) -> lis
         casimir = sum(mats[ax] @ mats[ax] for ax in "xyz")
         eye = ell * (ell + 1) * np.eye(2 * ell + 1)
         worst_l2 = max(worst_l2, float(np.abs(casimir - eye).max()) / scale)
-    unchecked = len(bases) - len(matrices)
-    note = f"; {unchecked} degrees unchecked (failed decompositions)" if unchecked else ""
+    note = f"; {len(failed)} degrees unchecked (failed decompositions)" if failed else ""
     results.append(
         {
             "invariant": "commutators",
-            "passed": bool(worst_c <= 1e-10) and not unchecked,
+            "passed": bool(worst_c <= 1e-10) and not failed,
             "worst": worst_c,
             "detail": "[Lx, Ly] - i Lz and cyclic, in matrix form, over (max |L|)^2" + note,
         }
@@ -462,7 +397,7 @@ def _invariant_suite(cfg: AsymmetryConfig, lmax: int, inject_fault: bool) -> lis
     results.append(
         {
             "invariant": "squared-momentum-closure",
-            "passed": bool(worst_l2 <= 1e-10) and not unchecked,
+            "passed": bool(worst_l2 <= 1e-10) and not failed,
             "worst": worst_l2,
             "detail": "Lx^2 + Ly^2 + Lz^2 minus l(l+1) on each degree block, over (max |L|)^2"
             + note,
@@ -552,7 +487,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         moments = _parse_moments(args.moments) if args.moments is not None else None
         run = RunConfig(
-            mode="moments" if moments is not None else "e1",
             e1=args.e1,
             moments=moments,
             lmax=args.ell if args.command == "ladder" else args.lmax,

@@ -120,22 +120,12 @@ def _build_basis_cached(ell: int, config: AsymmetryConfig) -> tuple[SpheroconalH
             raise MatchFailure(
                 f"species block sizes differ for label {label!r} at degree {ell}"
             )
-        size = len(side1)
-        unused = list(range(size))
-        for rank in range(size):
-            one = side1[rank]
-            # Complementary spectra pair in reversed order, so the expected
-            # partner sits at size - 1 - rank.  Quasi-degenerate doublets at
-            # large degree can swap two neighbouring side-2 eigenvalues by
-            # less than the matching tolerance, so pick the unused candidate
-            # whose h-sum lands closest to l(l+1) instead of trusting the
-            # rank blindly.
-            pick = min(unused, key=lambda j: abs(one.h + side2[j].h - target))
-            unused.remove(pick)
-            two = side2[pick]
+        # Complementary spectra pair in reversed order: both sides ascend and
+        # each pair sums to l(l+1).
+        for one, two in zip(side1, reversed(side2)):
             if abs(one.h + two.h - target) > 1e-9 * max(1.0, target):
                 raise MatchFailure(
-                    f"h-sum violation for label {label!r} rank {rank} at degree {ell}: "
+                    f"h-sum violation for label {label!r} rank {one.rank} at degree {ell}: "
                     f"{one.h} + {two.h} != {target}"
                 )
             parities = tuple(-1 if axis in label else 1 for axis in "xyz")

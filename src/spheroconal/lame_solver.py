@@ -150,11 +150,12 @@ def _nearest_root(diag: list[int], off2: list[int], scale: int, rank: int, guess
     """The float nearest (ties to even) to the rank-th smallest root of the
     block (diag, off2, scale) from _wang_block.
 
-    A float eigensolver's guess is off by a few ulps of the block norm,
-    which the ill-conditioned basis inversions in the ladders amplify, so
-    the root is bracketed and bisected on the exact characteristic sign:
-    near root ``rank``, det(x - block) has the sign (-1)^(n - 1 - rank)
-    above it and the opposite below. The sign at the guess tells on which
+    A float eigensolver's guess is off by a few ulps of the block norm, and
+    by different ulps on different LAPACK builds. Rounding correctly makes
+    every h reproducible, as the README promises, so the root is bracketed
+    and bisected on the exact characteristic sign: near root ``rank``,
+    det(x - block) has the sign (-1)^(n - 1 - rank) above it and the
+    opposite below. The sign at the guess tells on which
     side of it the root lies, and the bracket is walked out on that side only.
     """
     orient = (-1) ** (len(diag) - 1 - rank)

@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import spheroconal
-from spheroconal import cli, lame_solver
+from spheroconal import cli, ladder, lame_solver
+from spheroconal.asymmetry import from_e1
 from spheroconal.errors import ProjectionResidual
+from spheroconal.harmonics import build_basis
 
 
 def run_cli(capsys, *argv):
@@ -40,8 +42,8 @@ def test_spectrum_json_document(capsys):
     assert [s["ell"] for s in states] == [0] + [1] * 3 + [2] * 5
     e1, _, e3 = doc["config"]["e"]
     for s in states:
-        # Serialized with 17 significant digits, so the parsed doubles
-        # reproduce the defining relations at machine precision.
+        # Serialized as the shortest repr that round-trips, so the parsed
+        # doubles reproduce the defining relations at machine precision.
         assert s["h1"] + s["h2"] == pytest.approx(s["ell"] * (s["ell"] + 1), abs=1e-12)
         assert s["estar2"] == pytest.approx(e1 * s["h1"] + e3 * s["h2"], abs=1e-12)
         assert "energy" not in s
@@ -63,6 +65,23 @@ def test_spectrum_csv_matches_json(capsys):
         assert (int(row["n1"]), int(row["n2"])) == (state["n1"], state["n2"])
         for field in ("h1", "h2", "estar2"):
             assert float(row[field]) == state[field]
+
+
+def test_spectrum_round_trips_the_library_doubles(capsys):
+    basis = [s for ell in range(6) for s in build_basis(ell, from_e1(0.62))]
+    expected = [[s.h1.hex(), s.h2.hex(), s.estar2.hex()] for s in basis]
+    code, json_out, _ = run_cli(capsys, "spectrum", "--e1", "0.62", "--lmax", "5")
+    assert code == 0
+    states = json.loads(json_out)["states"]
+    # Integer-valued reals stay floats: the degree-0 eigenvalues are 0.0.
+    assert all(isinstance(s[f], float) for s in states for f in ("h1", "h2", "estar2"))
+    assert [[s[f].hex() for f in ("h1", "h2", "estar2")] for s in states] == expected
+    code, csv_out, _ = run_cli(
+        capsys, "spectrum", "--e1", "0.62", "--lmax", "5", "--format", "csv"
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    assert [[float(r[f]).hex() for f in ("h1", "h2", "estar2")] for r in rows] == expected
 
 
 def test_spectrum_builds_no_eigenpolynomial(capsys, monkeypatch):
@@ -221,6 +240,23 @@ def test_ladder_verify_across_the_advertised_range(capsys, e1, ell):
     assert elapsed < 30.0, f"degree-{ell} verify took {elapsed:.1f} s"
 
 
+def test_ladder_round_trips_the_library_coefficients(capsys):
+    cfg = from_e1(0.9)
+    argv = ("ladder", "--e1", "0.9", "--l", "4", "--op", "Ly", "--op", "Px")
+    basis = build_basis(4, cfg)
+    decs = [ladder.apply_angular_momentum("y", s, cfg) for s in basis]
+    decs += [ladder.apply_linear_momentum("x", s, cfg) for s in basis]
+    expected = [t.coefficient.hex() for dec in decs for t in dec.terms]
+    code, json_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    records = json.loads(json_out)["ladders"]
+    assert [t["coefficient"].hex() for r in records for t in r["terms"]] == expected
+    code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    assert [float(r["coefficient"]).hex() for r in rows if r["coefficient"]] == expected
+
+
 def test_ladder_csv_keeps_empty_decompositions(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -280,7 +316,7 @@ def test_verify_injected_fault_exits_1(capsys):
 
 
 def test_verify_checks_commutators_above_degree_4(capsys, monkeypatch):
-    real = cli.apply_angular_momentum
+    real = ladder.apply_angular_momentum
 
     def skewed(axis, state, cfg):
         dec = real(axis, state, cfg)
@@ -289,13 +325,44 @@ def test_verify_checks_commutators_above_degree_4(capsys, monkeypatch):
         first = dataclasses.replace(dec.terms[0], coefficient=dec.terms[0].coefficient * 1.000001)
         return dataclasses.replace(dec, terms=(first,) + dec.terms[1:])
 
-    monkeypatch.setattr(cli, "apply_angular_momentum", skewed)
+    monkeypatch.setattr(ladder, "apply_angular_momentum", skewed)
     code, out, err = run_cli(capsys, "verify", "--e1", "0.75", "--lmax", "7")
     assert code == 1
     by_name = {r["invariant"]: r for r in json.loads(out)["invariants"]}
     assert by_name["divisibility"]["passed"] is True
     assert by_name["commutators"]["passed"] is False
     assert by_name["squared-momentum-closure"]["passed"] is False
+
+
+def test_verify_reports_a_failed_degree_block(capsys, monkeypatch):
+    real = ladder.apply_angular_momentum
+
+    def failing(axis, state, cfg):
+        if state.ell == 3:
+            raise ProjectionResidual("image leaves the target basis")
+        return real(axis, state, cfg)
+
+    monkeypatch.setattr(ladder, "apply_angular_momentum", failing)
+    code, out, err = run_cli(capsys, "verify", "--e1", "0.75", "--lmax", "4")
+    assert code == 1
+    by_name = {r["invariant"]: r for r in json.loads(out)["invariants"]}
+    divisibility = by_name["divisibility"]
+    assert divisibility["passed"] is False
+    assert divisibility["worst"] == 1.0
+    assert "4/5 degree blocks" in divisibility["detail"]
+    assert "l=3 ProjectionResidual" in divisibility["detail"]
+    for name in ("commutators", "squared-momentum-closure"):
+        assert by_name[name]["passed"] is False
+        assert "1 degrees unchecked" in by_name[name]["detail"]
+
+
+def test_run_config_takes_exactly_one_asymmetry_input():
+    common = dict(lmax=1, operators=(), fmt="json", out=None, verify=False)
+    assert cli.RunConfig(e1=0.75, moments=None, **common).mode == "e1"
+    assert cli.RunConfig(e1=None, moments=(1.0, 2.0, 3.0), **common).mode == "moments"
+    for e1, moments in ((None, None), (0.75, (1.0, 2.0, 3.0))):
+        with pytest.raises(ValueError, match="exactly one"):
+            cli.RunConfig(e1=e1, moments=moments, **common)
 
 
 def run_python(*argv):

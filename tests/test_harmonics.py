@@ -54,6 +54,19 @@ def test_basis_structure(mid_config):
             assert s.species_b == s.species_a.partner()
 
 
+@pytest.mark.parametrize("e1", [0.5001, 0.9999])
+def test_sides_pair_by_reversed_rank_over_the_advertised_range(e1):
+    config = from_e1(e1)
+    for ell in range(51):
+        target = ell * (ell + 1)
+        basis = build_basis(ell, config)
+        assert len(basis) == 2 * ell + 1
+        for s in basis:
+            size = sum(t.label == s.label for t in basis)
+            assert s.lame2.rank == size - 1 - s.lame1.rank, (ell, s.label, s.n1)
+            assert abs(s.h1 + s.h2 - target) <= 1e-9 * target, (ell, s.label, s.n1)
+
+
 def test_basis_is_deterministic(mid_config):
     a = build_basis(7, mid_config)
     b = build_basis(7, mid_config)
