@@ -54,10 +54,10 @@ from .ladder import (
 from .lame_solver import LamePolynomial, apply_operator, build_matrix, matrix_size, solve
 from .oracle import (
     GridField,
-    cartesian_rotor_energies,
     fd_operator,
     fit_in_basis,
     make_grid,
+    rotor_energies,
     state_field,
 )
 from .polyalg import BiSnPoly, Species, SnPoly, differentiate, divide_by_scale
@@ -100,7 +100,6 @@ __all__ = [
     "apply_operator",
     "build_basis",
     "build_matrix",
-    "cartesian_rotor_energies",
     "differentiate",
     "divide_by_scale",
     "e1_from_modulus",
@@ -116,6 +115,7 @@ __all__ = [
     "make_grid",
     "matrix_size",
     "quarter_period",
+    "rotor_energies",
     "shift_nodes",
     "solve",
     "species_for_label",

@@ -15,10 +15,13 @@ Three subcommands share one asymmetry-input convention (``--e1`` or
 
 Exit codes: 0 success, 1 failed invariant or numerical failure (the
 message names the exception class), 2 bad parameters, 3 oracle residual
-above threshold.
+above threshold. A NaN never passes a gate: a non-finite oracle residual
+exits 3 and a non-finite worst value fails its invariant.
 
 Reals are printed as the shortest ``repr`` that round-trips exactly, so a
-JSON or CSV file parses back to the same doubles.
+JSON or CSV file parses back to the same doubles. A non-finite ladder
+residual or invariant ``worst`` is written as JSON ``null`` and as an
+empty CSV cell; any other non-finite real is refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -233,6 +236,11 @@ def _oracle_residual(op: str, state, dec: LadderDecomposition, cfg, grid, fields
     return rms(fd.values - predicted) / denom
 
 
+def _peak(values) -> float:
+    """Largest of ``values``, 0.0 for none; a NaN among them is kept."""
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
+
+
 def cmd_ladder(run: RunConfig) -> int:
     cfg = run.asymmetry()
     ell = run.lmax
@@ -240,7 +248,7 @@ def cmd_ladder(run: RunConfig) -> int:
     grid = make_grid(cfg, ell) if run.verify else None
     fields = _Fields(cfg, ell, grid) if run.verify else None
     records = []
-    worst = 0.0
+    residuals = []
     for op in run.operators:
         for state in basis:
             dec = _decompose(op, state, cfg)
@@ -255,8 +263,8 @@ def cmd_ladder(run: RunConfig) -> int:
             }
             if run.verify:
                 residual = _oracle_residual(op, state, dec, cfg, grid, fields)
-                rec["residual"] = residual
-                worst = max(worst, residual)
+                residuals.append(residual)
+                rec["residual"] = residual if math.isfinite(residual) else None
             records.append(rec)
     if run.fmt == "csv":
         rows = []
@@ -284,7 +292,8 @@ def cmd_ladder(run: RunConfig) -> int:
         _write(_emit_csv(rows), run.out)
     else:
         _write(_emit_json(_document(run, cfg, [], records)), run.out)
-    if run.verify and worst > _RESIDUAL_LIMIT:
+    worst = _peak(residuals)
+    if not worst <= _RESIDUAL_LIMIT:
         print(
             f"oracle residual {worst:.3e} exceeds {_RESIDUAL_LIMIT:.0e}",
             file=sys.stderr,
@@ -297,64 +306,41 @@ def cmd_ladder(run: RunConfig) -> int:
 # verify
 
 
-def _invariant_suite(cfg: AsymmetryConfig, lmax: int, inject_fault: bool) -> list[dict]:
-    """Run the structural checks and return one report entry per invariant.
+def _invariant(name: str, values, limit: float, detail: str, checked: bool = True) -> dict:
+    """One report entry on the largest of ``values``. A NaN among them fails
+    the invariant and is written as null."""
+    worst = _peak(values)
+    finite = math.isfinite(worst)
+    return {
+        "invariant": name,
+        "passed": finite and worst <= limit and checked,
+        "worst": worst if finite else None,
+        "detail": detail,
+    }
 
-    ``inject_fault`` corrupts the first tabulated eigenvalue before the sum
-    check runs; it exists so the failure path itself can be exercised.
-    """
-    results = []
+
+def _invariant_suite(cfg: AsymmetryConfig, lmax: int) -> list[dict]:
+    """Run the structural checks and return one report entry per invariant."""
     bases = {ell: build_basis(ell, cfg) for ell in range(lmax + 1)}
-
-    worst = 0.0
-    culprit = ""
-    for ell, basis in bases.items():
-        for i, s in enumerate(basis):
-            h1 = s.h1 + (0.5 if inject_fault and ell == 0 and i == 0 else 0.0)
-            gap = abs(h1 + s.h2 - ell * (ell + 1))
-            if gap > worst:
-                worst, culprit = gap, f"l={ell} {s.label} n1={s.n1}"
     tol = 1e-9 * max(1.0, lmax * (lmax + 1))
-    results.append(
-        {
-            "invariant": "eigenvalue-sum",
-            "passed": bool(worst <= tol),
-            "worst": float(worst),
-            "detail": f"h1 + h2 - l(l+1) largest at {culprit}" if culprit else "",
-        }
-    )
 
-    worst = 0.0
-    for ell, basis in bases.items():
-        worst = max(worst, abs(sum(s.estar2 for s in basis)))
-    results.append(
-        {
-            "invariant": "multiplet-trace",
-            "passed": bool(worst <= tol),
-            "worst": float(worst),
-            "detail": "sum of reduced energies over each degree block",
-        }
-    )
+    states = [(ell, s) for ell, basis in bases.items() for s in basis]
+    gaps = [abs(s.h1 + s.h2 - ell * (ell + 1)) for ell, s in states]
+    i = int(np.argmax(gaps))  # the first NaN, else the first maximum
+    ell, s = states[i]
+    culprit = f"h1 + h2 - l(l+1) largest at l={ell} {s.label} n1={s.n1}" if gaps[i] else ""
+    traces = [abs(sum(s.estar2 for s in basis)) for basis in bases.values()]
 
-    worst = 0.0
-    for ell, basis in bases.items():
-        for s in basis:
-            for lame in (s.lame1, s.lame2):
-                image = apply_operator(lame.poly, ell)
-                ca = np.zeros(max(len(image.coeffs), len(lame.poly.coeffs)))
-                ca[: len(image.coeffs)] = image.coeffs
-                cb = np.zeros_like(ca)
-                cb[: len(lame.poly.coeffs)] = lame.poly.coeffs
-                scale = max(np.abs(cb).max(), 1.0) * max(1.0, abs(lame.h))
-                worst = max(worst, np.abs(ca - lame.h * cb).max() / scale)
-    results.append(
-        {
-            "invariant": "ode-residual",
-            "passed": bool(worst <= 1e-10),
-            "worst": float(worst),
-            "detail": "operator image minus eigenvalue times polynomial",
-        }
-    )
+    def ode_residual(lame, ell: int) -> float:
+        image = apply_operator(lame.poly, ell)
+        ca = np.zeros(max(len(image.coeffs), len(lame.poly.coeffs)))
+        ca[: len(image.coeffs)] = image.coeffs
+        cb = np.zeros_like(ca)
+        cb[: len(lame.poly.coeffs)] = lame.poly.coeffs
+        scale = max(np.abs(cb).max(), 1.0) * max(1.0, abs(lame.h))
+        return np.abs(ca - lame.h * cb).max() / scale
+
+    ode = [ode_residual(lame, ell) for ell, s in states for lame in (s.lame1, s.lame2)]
 
     # A degree whose decompositions fail has no matrices.
     matrices = {}
@@ -364,51 +350,52 @@ def _invariant_suite(cfg: AsymmetryConfig, lmax: int, inject_fault: bool) -> lis
             matrices[ell] = {ax: angular_momentum_matrix(ax, ell, cfg) for ax in "xyz"}
         except SpheroconalError as exc:
             failed.append(f"l={ell} {type(exc).__name__}")
-    results.append(
-        {
-            "invariant": "divisibility",
-            "passed": not failed,
-            "worst": float(len(failed)),
-            "detail": f"{len(matrices)}/{len(bases)} degree blocks divide by the metric factor"
-            + "".join(f"; {f}" for f in failed),
-        }
-    )
 
     # Residuals relative to (max |L|)^2, the scale of the products.
-    worst_c = 0.0
-    worst_l2 = 0.0
+    comms = []
+    closures = []
     for ell, mats in matrices.items():
         scale = max(float(np.abs(m).max()) for m in mats.values()) ** 2 or 1.0
         for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
             comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-            worst_c = max(worst_c, float(np.abs(comm - 1j * mats[c]).max()) / scale)
+            comms.append(np.abs(comm - 1j * mats[c]).max() / scale)
         casimir = sum(mats[ax] @ mats[ax] for ax in "xyz")
         eye = ell * (ell + 1) * np.eye(2 * ell + 1)
-        worst_l2 = max(worst_l2, float(np.abs(casimir - eye).max()) / scale)
+        closures.append(np.abs(casimir - eye).max() / scale)
     note = f"; {len(failed)} degrees unchecked (failed decompositions)" if failed else ""
-    results.append(
-        {
-            "invariant": "commutators",
-            "passed": bool(worst_c <= 1e-10) and not failed,
-            "worst": worst_c,
-            "detail": "[Lx, Ly] - i Lz and cyclic, in matrix form, over (max |L|)^2" + note,
-        }
-    )
-    results.append(
-        {
-            "invariant": "squared-momentum-closure",
-            "passed": bool(worst_l2 <= 1e-10) and not failed,
-            "worst": worst_l2,
-            "detail": "Lx^2 + Ly^2 + Lz^2 minus l(l+1) on each degree block, over (max |L|)^2"
-            + note,
-        }
-    )
-    return results
+    return [
+        _invariant("eigenvalue-sum", gaps, tol, culprit),
+        _invariant(
+            "multiplet-trace", traces, tol, "sum of reduced energies over each degree block"
+        ),
+        _invariant("ode-residual", ode, 1e-10, "operator image minus eigenvalue times polynomial"),
+        _invariant(
+            "divisibility",
+            [len(failed)],
+            0.0,
+            f"{len(matrices)}/{len(bases)} degree blocks divide by the metric factor"
+            + "".join(f"; {f}" for f in failed),
+        ),
+        _invariant(
+            "commutators",
+            comms,
+            1e-10,
+            "[Lx, Ly] - i Lz and cyclic, in matrix form, over (max |L|)^2" + note,
+            checked=not failed,
+        ),
+        _invariant(
+            "squared-momentum-closure",
+            closures,
+            1e-10,
+            "Lx^2 + Ly^2 + Lz^2 minus l(l+1) on each degree block, over (max |L|)^2" + note,
+            checked=not failed,
+        ),
+    ]
 
 
-def cmd_verify(run: RunConfig, inject_fault: bool) -> int:
+def cmd_verify(run: RunConfig) -> int:
     cfg = run.asymmetry()
-    results = _invariant_suite(cfg, run.lmax, inject_fault)
+    results = _invariant_suite(cfg, run.lmax)
     passed = all(r["passed"] for r in results)
     doc = _document(run, cfg, [], [], invariants=results, passed=passed)
     _write(_emit_json(doc), run.out)
@@ -466,11 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the structural invariant suite")
     add_input(p_ver)
     p_ver.add_argument("--lmax", type=int, default=6, help="largest degree checked (default 6)")
-    p_ver.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help=argparse.SUPPRESS,
-    )
     return parser
 
 
@@ -504,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_spectrum(run)
         if args.command == "ladder":
             return cmd_ladder(run)
-        return cmd_verify(run, getattr(args, "inject_fault", False))
+        return cmd_verify(run)
     except SpheroconalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

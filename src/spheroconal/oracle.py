@@ -1,10 +1,11 @@
-"""Independent numerical checks: grid operators and Cartesian rotor spectra.
+"""Independent numerical checks: grid operators and |l,m> rotor spectra.
 
 Everything here is deliberately redundant with the exact polynomial algebra:
 differential operators are applied by Fourier spectral derivatives on a
-grid over one full period of both elliptic coordinates, and low-degree
-spectra are recomputed in a Cartesian monomial basis. Agreement between
-the two routes is what the test suite (and the CLI verify mode) certifies.
+grid over one full period of both elliptic coordinates, and the spectrum
+of every degree is recomputed from the asymmetric-rotor matrix on the
+|l,m> basis. Agreement between the routes is what the test suite (and the
+CLI ladder --verify mode) certifies.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "state_field",
     "fd_operator",
     "fit_in_basis",
-    "cartesian_rotor_energies",
+    "rotor_energies",
 ]
 
 _KINDS = ("L2", "Hstar", "Lx", "Ly", "Lz", "Px", "Py", "Pz")
@@ -215,88 +216,22 @@ def fit_in_basis(field: GridField, basis: list[SpheroconalHarmonic]) -> tuple[np
 
 
 # ---------------------------------------------------------------------------
-# Cartesian route for the low-degree spectra
+# |l,m> route for the spectra
 
 
-def _mono_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (i, j, k), a in p.items():
-        for (r, s, t), b in q.items():
-            key = (i + r, j + s, k + t)
-            out[key] = out.get(key, 0.0) + a * b
-    return out
+def rotor_energies(ell: int, config: AsymmetryConfig) -> np.ndarray:
+    """Scaled energies 2E* of one multiplet from the |l,m> basis, ascending.
 
-
-def _mono_diff(p: dict, axis: int) -> dict:
-    out: dict = {}
-    for key, a in p.items():
-        if key[axis] == 0:
-            continue
-        new = list(key)
-        new[axis] -= 1
-        out[tuple(new)] = out.get(tuple(new), 0.0) + a * key[axis]
-    return out
-
-
-def _rotation_generator(axis: int, p: dict) -> dict:
-    """(y d/dz - z d/dy) and cyclic: the real generator L/(i*hbar) ... times -1.
-
-    Any consistent sign convention works here because only squares enter.
+    Builds Lx, Ly and Lz on |l,m> from the standard elements
+    <l,m+1|L+|l,m> = sqrt(l(l+1) - m(m+1)) and returns the eigenvalues of
+    sum(e_i L_i^2), the asymmetric-rotor matrix of King, Hainer and Cross
+    (1943), with no elliptic machinery. Works at every degree.
     """
-    j, k = [(1, 2), (2, 0), (0, 1)][axis]
-    xj = {tuple(1 if i == j else 0 for i in range(3)): 1.0}
-    xk = {tuple(1 if i == k else 0 for i in range(3)): 1.0}
-    term1 = _mono_mul(xj, _mono_diff(p, k))
-    term2 = _mono_mul(xk, _mono_diff(p, j))
-    return {
-        key: term1.get(key, 0.0) - term2.get(key, 0.0)
-        for key in set(term1) | set(term2)
-    }
-
-
-def cartesian_rotor_energies(ell: int, config: AsymmetryConfig) -> np.ndarray:
-    """Scaled energies 2E* of one multiplet from Cartesian polynomials.
-
-    Builds the operator sum(e_i L_i^2)/2 directly on harmonic monomial bases
-    (degree 1: x, y, z; degree 2: xy, xz, yz, x^2 - y^2, 2z^2 - x^2 - y^2)
-    with no elliptic machinery, and returns its eigenvalues doubled and
-    sorted ascending.
-    """
-    if ell == 1:
-        basis = [
-            {(1, 0, 0): 1.0},
-            {(0, 1, 0): 1.0},
-            {(0, 0, 1): 1.0},
-        ]
-    elif ell == 2:
-        basis = [
-            {(1, 1, 0): 1.0},
-            {(1, 0, 1): 1.0},
-            {(0, 1, 1): 1.0},
-            {(2, 0, 0): 1.0, (0, 2, 0): -1.0},
-            {(0, 0, 2): 2.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0},
-        ]
-    else:
-        raise ValueError(f"cartesian route implemented for degrees 1 and 2, got {ell}")
-
-    monomials = sorted({key for p in basis for key in p})
-    index = {key: i for i, key in enumerate(monomials)}
-
-    def vec(p: dict) -> np.ndarray:
-        out = np.zeros(len(monomials))
-        for key, a in p.items():
-            out[index[key]] = a
-        return out
-
-    span = np.column_stack([vec(p) for p in basis])
-    hstar = np.zeros((len(basis), len(basis)))
-    for axis, e_i in enumerate(config.e):
-        for j, p in enumerate(basis):
-            image = _rotation_generator(axis, _rotation_generator(axis, p))
-            coeffs, *_ = np.linalg.lstsq(span, vec(image), rcond=None)
-            # L_i^2 = -(hbar * generator)^2 with the i stripped: minus sign
-            hstar[:, j] += -0.5 * e_i * coeffs
-    eigs = np.linalg.eigvals(hstar)
-    if np.abs(eigs.imag).max() > 1e-9 * max(1.0, np.abs(eigs).max()):
-        raise AssertionError("cartesian spectrum should be real")
-    return np.sort(2.0 * eigs.real)
+    if ell < 0:
+        raise ValueError(f"degree must be nonnegative, got {ell}")
+    m = np.arange(-ell, ell)
+    raising = np.diag(np.sqrt(ell * (ell + 1) - m * (m + 1.0)), -1)
+    lx = (raising + raising.T) / 2.0
+    ly = (raising - raising.T) / 2.0j
+    lz = np.diag(np.arange(-ell, ell + 1.0))
+    return np.linalg.eigvalsh(sum(e * (op @ op) for e, op in zip(config.e, (lx, ly, lz))))

@@ -372,7 +372,7 @@ def mul_factor_bi(p: BiSnPoly, letter: str, side: int) -> BiSnPoly:
     return _side_op(p, axis, letter, lambda c, species, ksq: times_square(c, letter, ksq))
 
 
-def divide_by_scale(p: BiSnPoly, k1sq: float | None = None, k2sq: float | None = None) -> BiSnPoly:
+def divide_by_scale(p: BiSnPoly) -> BiSnPoly:
     """Divide a block by the metric factor W = 1 - k1^2 u - k2^2 v, exactly.
 
     The quotient Q, of the dividend's shape, solves
@@ -383,10 +383,7 @@ def divide_by_scale(p: BiSnPoly, k1sq: float | None = None, k2sq: float | None =
     NotDivisible. The same remainder, restricted to the dividend's shape,
     gives one refinement step.
     """
-    a = p.k1sq if k1sq is None else k1sq
-    b = p.k2sq if k2sq is None else k2sq
-    if abs(a - p.k1sq) > 1e-14 or abs(b - p.k2sq) > 1e-14:
-        raise ValueError("moduli disagree with the block's own moduli")
+    a, b = p.k1sq, p.k2sq
     c = p.coeffs
     ns, nt = c.shape
     fwd_u, inv_u = _node_transform(ns)

@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spheroconal
@@ -185,6 +186,20 @@ def test_ladder_verify_exit_3_when_threshold_exceeded(capsys, monkeypatch):
     assert "oracle residual" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ladder_verify_nan_residual_exits_3(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "_oracle_residual", lambda *args: math.nan)
+    code, out, err = run_cli(
+        capsys, "ladder", "--e1", "0.75", "--l", "1", "--op", "Lx", "--verify", "--format", fmt
+    )
+    assert code == 3
+    assert err == "oracle residual nan exceeds 1e-06\n"
+    if fmt == "json":
+        assert [r["residual"] for r in json.loads(out)["ladders"]] == [None] * 3
+    else:
+        assert [r["residual"] for r in csv.DictReader(io.StringIO(out))] == [""] * 3
+
+
 def test_ladder_verify_samples_each_state_once(capsys, monkeypatch):
     """--verify samples each state of degrees l - 1, l and l + 1 at most
     once per run, however many operators and terms reach it."""
@@ -302,10 +317,17 @@ def test_verify_passes_and_lists_invariants(capsys):
     assert all(r["passed"] for r in doc["invariants"])
 
 
-def test_verify_injected_fault_exits_1(capsys):
-    code, out, err = run_cli(
-        capsys, "verify", "--e1", "0.75", "--lmax", "1", "--inject-fault"
-    )
+def test_verify_injected_fault_exits_1(capsys, monkeypatch):
+    real = cli.build_basis
+
+    def faulty(ell, cfg):
+        basis = real(ell, cfg)
+        if ell == 0:
+            basis[0] = dataclasses.replace(basis[0], h1=basis[0].h1 + 0.5)
+        return basis
+
+    monkeypatch.setattr(cli, "build_basis", faulty)
+    code, out, err = run_cli(capsys, "verify", "--e1", "0.75", "--lmax", "1")
     assert code == 1
     assert "failed invariants: eigenvalue-sum" in err
     doc = json.loads(out)
@@ -313,6 +335,25 @@ def test_verify_injected_fault_exits_1(capsys):
     by_name = {r["invariant"]: r for r in doc["invariants"]}
     assert by_name["eigenvalue-sum"]["passed"] is False
     assert by_name["multiplet-trace"]["passed"] is True
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_fails_a_nan_invariant(capsys, monkeypatch, fmt):
+    real = cli.angular_momentum_matrix
+
+    def poisoned(axis, ell, cfg):
+        matrix = real(axis, ell, cfg)
+        return np.full_like(matrix, np.nan) if (axis, ell) == ("x", 1) else matrix
+
+    monkeypatch.setattr(cli, "angular_momentum_matrix", poisoned)
+    code, out, err = run_cli(capsys, "verify", "--e1", "0.75", "--lmax", "2", "--format", fmt)
+    assert code == 1
+    assert err == "failed invariants: commutators, squared-momentum-closure\n"
+    by_name = {r["invariant"]: r for r in json.loads(out)["invariants"]}
+    for name in ("commutators", "squared-momentum-closure"):
+        assert by_name[name]["passed"] is False
+        assert by_name[name]["worst"] is None
+    assert by_name["divisibility"]["passed"] is True
 
 
 def test_verify_checks_commutators_above_degree_4(capsys, monkeypatch):

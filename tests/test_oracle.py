@@ -1,18 +1,20 @@
-"""Spectral oracle: full-period grids, spectral operators, basis fits."""
+"""Spectral oracle: full-period grids, spectral operators, basis fits, and
+the |l,m> rotor spectra."""
 
 import numpy as np
 import pytest
 
-from spheroconal.asymmetry import from_e1
+from spheroconal import harmonics, lame_solver, polyalg
+from spheroconal.asymmetry import e1_from_modulus, from_e1
 from spheroconal.elliptic import jacobi, quarter_period
 from spheroconal.errors import RankDeficient
 from spheroconal.harmonics import build_basis, evaluate
 from spheroconal.oracle import (
     GridField,
-    cartesian_rotor_energies,
     fd_operator,
     fit_in_basis,
     make_grid,
+    rotor_energies,
     state_field,
 )
 
@@ -139,12 +141,43 @@ def test_fit_degenerate_basis_and_empty_basis(mid_config):
         fit_in_basis(field, [])
 
 
-def test_cartesian_route_agrees_with_elliptic(mid_config, modulus_config):
-    _, cfg = modulus_config
-    for config in (mid_config, cfg):
-        for ell in (1, 2):
-            want = sorted(s.estar2 for s in build_basis(ell, config))
-            got = cartesian_rotor_energies(ell, config)
-            assert np.max(np.abs(np.asarray(want) - got)) < 1e-10, ell
-    with pytest.raises(ValueError, match="degrees 1 and 2"):
-        cartesian_rotor_energies(3, mid_config)
+_LOW_AND_TWO_HIGH = (*range(21), 32, 50)
+
+
+# k1sq = 0.5 is the most asymmetric point, e1 = sqrt(3)/2.
+@pytest.mark.parametrize(
+    "e1, degrees",
+    [
+        pytest.param(0.5001, range(51), id="e1=0.5001"),
+        pytest.param(0.9999, range(51), id="e1=0.9999"),
+        *(pytest.param(e1, _LOW_AND_TWO_HIGH, id=f"e1={e1}") for e1 in (0.55, 0.75, 0.95)),
+        *(
+            pytest.param(e1_from_modulus(k), _LOW_AND_TWO_HIGH, id=f"k1sq={k}")
+            for k in (0.3, 0.5, 0.7)
+        ),
+    ],
+)
+def test_rotor_energies_agree_with_elliptic(e1, degrees):
+    config = from_e1(e1)
+    for ell in degrees:
+        want = np.sort([s.estar2 for s in build_basis(ell, config)])
+        got = rotor_energies(ell, config)
+        assert got.shape == (2 * ell + 1,), ell
+        gap = np.max(np.abs(want - got))
+        assert gap <= 1e-13 * max(1, ell * (ell + 1)), (ell, gap)
+
+
+def test_rotor_energies_use_no_elliptic_code(mid_config, monkeypatch):
+    want = [rotor_energies(ell, mid_config) for ell in (0, 1, 7)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the |l,m> route called the elliptic code")
+
+    monkeypatch.setattr(lame_solver, "_eigenvalues", refuse)
+    monkeypatch.setattr(harmonics, "build_basis", refuse)
+    monkeypatch.setattr(polyalg, "chain_rule", refuse)
+    for ell, values in zip((0, 1, 7), want):
+        assert np.array_equal(rotor_energies(ell, mid_config), values)
+    assert rotor_energies(0, mid_config).tolist() == [0.0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        rotor_energies(-1, mid_config)

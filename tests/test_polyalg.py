@@ -252,8 +252,6 @@ def test_divide_by_scale_failures():
     )
     with pytest.raises(NotDivisible, match="remainder"):
         divide_by_scale(ones)
-    with pytest.raises(ValueError, match="moduli disagree"):
-        divide_by_scale(ones, k1sq=0.4, k2sq=0.6)
 
 
 # ---------------------------------------------------------------------------
