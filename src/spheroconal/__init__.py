@@ -22,7 +22,6 @@ from .errors import (
     NotDivisible,
     OutOfRange,
     ProjectionResidual,
-    RankDeficient,
     Singular,
     SpheroconalError,
     SphericalTop,
@@ -55,7 +54,6 @@ from .lame_solver import LamePolynomial, apply_operator, build_matrix, matrix_si
 from .oracle import (
     GridField,
     fd_operator,
-    fit_in_basis,
     make_grid,
     rotor_energies,
     state_field,
@@ -84,7 +82,6 @@ __all__ = [
     "NotDivisible",
     "OutOfRange",
     "ProjectionResidual",
-    "RankDeficient",
     "Singular",
     "SnPoly",
     "Species",
@@ -106,7 +103,6 @@ __all__ = [
     "evaluate",
     "evaluate_xyz",
     "fd_operator",
-    "fit_in_basis",
     "from_e1",
     "from_moments",
     "jacobi",

@@ -397,8 +397,11 @@ def cmd_verify(run: RunConfig) -> int:
     cfg = run.asymmetry()
     results = _invariant_suite(cfg, run.lmax)
     passed = all(r["passed"] for r in results)
-    doc = _document(run, cfg, [], [], invariants=results, passed=passed)
-    _write(_emit_json(doc), run.out)
+    if run.fmt == "csv":
+        rows = [{**r, "worst": "" if r["worst"] is None else r["worst"]} for r in results]
+        _write(_emit_csv(rows), run.out)
+    else:
+        _write(_emit_json(_document(run, cfg, [], [], invariants=results, passed=passed)), run.out)
     if not passed:
         names = ", ".join(r["invariant"] for r in results if not r["passed"])
         print(f"failed invariants: {names}", file=sys.stderr)

@@ -87,11 +87,3 @@ class LadderEnd(SpheroconalError):
 
 class ProjectionResidual(SpheroconalError):
     """An operator image has content outside the expected target basis."""
-
-
-# ---------------------------------------------------------------------------
-# Grid-oracle errors
-
-
-class RankDeficient(SpheroconalError):
-    """The least-squares Gram matrix of a fitting basis is ill-conditioned."""

@@ -19,11 +19,14 @@ Three families of shifts are realized as closed polynomial algebra:
 Every quotient by the metric factor W is exact (NotDivisible would flag a
 broken identity), and any operator image with content outside the expected
 target family raises ProjectionResidual.
+
+Each operator acts on a whole species family at once, as one stack, and a
+state's decomposition is its column of the cached target x source matrix;
+so a failure on any member fails that operator for the whole family.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +35,6 @@ import numpy as np
 from .asymmetry import AsymmetryConfig, e1_from_modulus, from_e1
 from .errors import LadderEnd, ProjectionResidual
 from .harmonics import (
-    LABEL_ORDER,
     SpheroconalHarmonic,
     build_basis,
     species_for_label,
@@ -63,21 +65,26 @@ __all__ = [
 L_CONVENTION = "action divided by i*hbar"
 P_CONVENTION = "angular bracket term, scale factor cancelled"
 
-# Letters toggled on (side 1, side 2) by each operator.
-_TRANSITIONS = {
-    "Lx": ("sc", "cd"),
-    "Ly": ("sd", "sd"),
-    "Lz": ("cd", "sc"),
-    "Px": ("d", "s"),
-    "Py": ("c", "c"),
-    "Pz": ("s", "d"),
-}
-
 # Direction cosines as (letter on side 1, letter on side 2).
 _COSINES = {"x": ("d", "s"), "y": ("c", "c"), "z": ("s", "d")}
 
+# Each bracket is a sum over d_chi1(psi) and d_chi2(psi), in that order, of
+# sign * modulus * gradient * (side-1 letters) * (side-2 letters), with the
+# modulus 1, a = k1^2 or b = k2^2. The letter order fixes the rounding. Both
+# terms toggle the same letters, which give the operator's species transition.
+_BRACKETS = {
+    "Lx": ((1.0, "", "d", "cd"), (1.0, "a", "sc", "s")),
+    "Ly": ((-1.0, "", "c", "sd"), (1.0, "", "sd", "c")),
+    "Lz": ((-1.0, "b", "s", "sc"), (-1.0, "", "cd", "d")),
+    "Px": ((-1.0, "a", "sc", "s"), (1.0, "", "d", "cd")),
+    "Py": ((-1.0, "", "sd", "c"), (-1.0, "", "c", "sd")),
+    "Pz": ((1.0, "", "cd", "d"), (-1.0, "b", "s", "sc")),
+}
+
 _DROP_RTOL = 1e-10
 _OFF_RTOL = 1e-8
+
+_Image = tuple[tuple[SpheroconalHarmonic, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -126,13 +133,16 @@ def _config_of(state: SpheroconalHarmonic, config: AsymmetryConfig | None) -> As
 
     The moduli are the state's own, so the basis is solved at exactly the
     state's asymmetry; only the e-triple is rebuilt (through e1), since the
-    decompositions do not depend on it.
+    decompositions do not depend on it. A given configuration must carry
+    the state's k1sq (ValueError otherwise).
     """
-    if config is not None:
-        return config
-    psi = state.wavefunction
-    e = from_e1(e1_from_modulus(psi.k1sq)).e
-    return AsymmetryConfig(e=e, k1sq=psi.k1sq, k2sq=psi.k2sq)
+    k1sq = state.lame1.ksq
+    if config is None:
+        e = from_e1(e1_from_modulus(k1sq)).e
+        return AsymmetryConfig(e=e, k1sq=k1sq, k2sq=state.lame2.ksq)
+    if config.k1sq != k1sq:
+        raise ValueError(f"config has k1sq = {config.k1sq!r}, the state {k1sq!r}")
+    return config
 
 
 def shift_nodes(
@@ -168,68 +178,32 @@ def species_transition(operator: str, species_ab) -> tuple[Species, Species]:
     on the two sides are partners (s and d swapped), so the result is again
     a valid harmonic family.
     """
-    if operator not in _TRANSITIONS:
+    if operator not in _BRACKETS:
         raise ValueError(f"unknown operator {operator!r}")
     if isinstance(species_ab, str):
         pair = species_for_label(species_ab)
     else:
         pair = tuple(species_ab)
-    flip1, flip2 = _TRANSITIONS[operator]
-    return pair[0].flipped(flip1), pair[1].flipped(flip2)
+    # The first term: d_chi1 toggles every side-1 letter, then the factors.
+    _, _, side1, side2 = _BRACKETS[operator][0]
+    return pair[0].flipped("scd" + side1), pair[1].flipped(side2)
 
 
-def _mul(block: BiSnPoly, *letter_side: tuple[str, int]) -> BiSnPoly:
-    for letter, side in letter_side:
-        block = mul_factor_bi(block, letter, side)
+def _mul(block: BiSnPoly, side1: str, side2: str) -> BiSnPoly:
+    """Multiply by the letters of side 1, then by those of side 2, in order."""
+    for side, letters in ((1, side1), (2, side2)):
+        for letter in letters:
+            block = mul_factor_bi(block, letter, side)
     return block
 
 
-# Gradients per wavefunction, dropped together with the wavefunction (whose
-# hash is its identity, since BiSnPoly has eq=False).
-_GRADIENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _gradients(psi: BiSnPoly) -> tuple[BiSnPoly, BiSnPoly]:
-    """(d_chi1(psi), d_chi2(psi)), computed once per wavefunction."""
-    pair = _GRADIENTS.get(psi)
-    if pair is None:
-        pair = _GRADIENTS[psi] = (d_chi1(psi), d_chi2(psi))
-    return pair
-
-
-def _angular_bracket(axis: str, psi: BiSnPoly) -> BiSnPoly:
-    """The first-order bracket of L_axis/(−i*hbar), before division by W."""
-    a, b = psi.k1sq, psi.k2sq
-    g1, g2 = _gradients(psi)
-    if axis == "x":
-        t1 = _mul(g1, ("d", 1), ("c", 2), ("d", 2))
-        t2 = _mul(g2, ("s", 1), ("c", 1), ("s", 2)).scaled(a)
-    elif axis == "y":
-        t1 = _mul(g1, ("c", 1), ("s", 2), ("d", 2)).scaled(-1.0)
-        t2 = _mul(g2, ("s", 1), ("d", 1), ("c", 2))
-    elif axis == "z":
-        t1 = _mul(g1, ("s", 1), ("s", 2), ("c", 2)).scaled(-b)
-        t2 = _mul(g2, ("c", 1), ("d", 1), ("d", 2)).scaled(-1.0)
-    else:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    return t1.plus(t2)
-
-
-def _linear_bracket(axis: str, psi: BiSnPoly) -> BiSnPoly:
-    """The angular derivative bracket of p_axis, before division by W."""
-    a, b = psi.k1sq, psi.k2sq
-    g1, g2 = _gradients(psi)
-    if axis == "x":
-        t1 = _mul(g1, ("s", 1), ("c", 1), ("s", 2)).scaled(-a)
-        t2 = _mul(g2, ("d", 1), ("c", 2), ("d", 2))
-    elif axis == "y":
-        t1 = _mul(g1, ("s", 1), ("d", 1), ("c", 2)).scaled(-1.0)
-        t2 = _mul(g2, ("c", 1), ("s", 2), ("d", 2)).scaled(-1.0)
-    elif axis == "z":
-        t1 = _mul(g1, ("c", 1), ("d", 1), ("d", 2))
-        t2 = _mul(g2, ("s", 1), ("s", 2), ("c", 2)).scaled(-b)
-    else:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+def _bracket(op: str, psi: BiSnPoly) -> BiSnPoly:
+    """The first-order bracket of L/(-i*hbar) or of p, before division by W."""
+    if op not in _BRACKETS:
+        raise ValueError(f"axis must be 'x', 'y' or 'z', got {op[1:]!r}")
+    moduli = {"": 1.0, "a": psi.k1sq, "b": psi.k2sq}
+    rows = zip((d_chi1(psi), d_chi2(psi)), _BRACKETS[op])
+    t1, t2 = (_mul(g, side1, side2).scaled(sign * moduli[m]) for g, (sign, m, side1, side2) in rows)
     return t1.plus(t2)
 
 
@@ -269,63 +243,100 @@ def _family(
 
 
 def _expand(
-    block: BiSnPoly, ell: int, config: AsymmetryConfig, context: str
-) -> list[tuple[SpheroconalHarmonic, float]]:
-    """Expand a block over the matching species family at one degree.
+    stack: BiSnPoly, ell: int, config: AsymmetryConfig, sources, context: str
+) -> _Image | None:
+    """Expand a stack of blocks, block k the image of ``sources[k]``, over the
+    matching species family at one degree.
 
     The expansion reduces to the two per-coordinate basis inverses of
     ``_family``; weights landing outside the paired (rank, complementary
-    rank) slots mean the block is not a sum of harmonics of this degree and
-    raise ProjectionResidual.
+    rank) slots mean a block is not a sum of harmonics of this degree and
+    raise ProjectionResidual, naming the source through the format string
+    ``context``. Returns None when the degree has no such family, else the
+    family and its target x source weights, those below the drop tolerance
+    set to 0.
     """
-    members, inv_a, inv_b = _family(ell, config, block.species_a, block.species_b)
+    members, inv_a, inv_b = _family(ell, config, stack.species_a, stack.species_b)
+
+    def residual(k: int, message: str) -> ProjectionResidual:
+        return ProjectionResidual(f"{context.format(state_ref(sources[k]))}: {message}")
+
+    mag = np.abs(stack.coeffs)
+    scale = mag.max(axis=(1, 2))
     if not members:
-        if block.max_abs > 1e-12:
-            raise ProjectionResidual(
-                f"{context}: no degree-{ell} family for species pair "
-                f"({block.species_a.tag(1)}, {block.species_b.tag(2)}) but "
-                f"content of size {block.max_abs:.3e} remains"
-            )
-        return []
+        live = np.flatnonzero(scale > 1e-12)
+        if live.size:
+            pair = f"({stack.species_a.tag(1)}, {stack.species_b.tag(2)})"
+            content = scale[live[0]]
+            raise residual(live[0], f"no degree-{ell} family for species pair {pair} but "
+                           f"content of size {content:.3e} remains")
+        return None
     size = len(members)
+    c = stack.coeffs[:, :size, :size]
+    mag[:, : c.shape[1], : c.shape[2]] = 0.0  # leaves what the family cannot hold
+    over = np.flatnonzero(mag.max(axis=(1, 2)) > _OFF_RTOL * np.maximum(scale, 1e-30))
+    if over.size:
+        raise residual(over[0], f"polynomial degree exceeds the degree-{ell} family")
+    padded = np.pad(c, ((0, 0), (0, size - c.shape[1]), (0, size - c.shape[2])))
 
-    shape = block.coeffs.shape
-    scale = max(block.max_abs, 1e-30)
-    if shape[0] > size or shape[1] > size:
-        overflow = max(
-            float(np.abs(block.coeffs[size:, :]).max()) if shape[0] > size else 0.0,
-            float(np.abs(block.coeffs[:, size:]).max()) if shape[1] > size else 0.0,
-        )
-        if overflow > _OFF_RTOL * scale:
-            raise ProjectionResidual(
-                f"{context}: polynomial degree exceeds the degree-{ell} family"
-            )
-    c = np.zeros((size, size))
-    c[: min(shape[0], size), : min(shape[1], size)] = block.coeffs[:size, :size]
-
-    weights = inv_a @ c @ inv_b.T
-    wscale = max(float(np.abs(weights).max()), 1.0)
+    weights = inv_a @ padded @ inv_b.T
+    wscale = np.maximum(np.abs(weights).max(axis=(1, 2)), 1.0)
     unpaired = ~np.eye(size, dtype=bool)[::-1]
-    stray = np.argwhere(unpaired & (np.abs(weights) > _OFF_RTOL * wscale))
+    stray = np.argwhere(unpaired & (np.abs(weights) > _OFF_RTOL * wscale[:, None, None]))
     if stray.size:
-        i, j = stray[0]
-        raise ProjectionResidual(
-            f"{context}: weight {weights[i, j]:.3e} on the unpaired "
-            f"eigenvalue slot ({i}, {j})"
-        )
-    out: list[tuple[SpheroconalHarmonic, float]] = []
-    for i, s in enumerate(members):
-        w = float(weights[i, size - 1 - i])
-        if abs(w) > _DROP_RTOL * wscale:
-            out.append((s, w))
-    return out
+        k, i, j = stray[0]
+        raise residual(k, f"weight {weights[k, i, j]:.3e} on the unpaired eigenvalue "
+                       f"slot ({i}, {j})")
+    rank = np.arange(size)
+    matrix = weights[:, rank, size - 1 - rank].T
+    matrix[~(np.abs(matrix) > _DROP_RTOL * wscale)] = 0.0
+    matrix.setflags(write=False)
+    return members, matrix
 
 
-def _sorted_terms(pairs: list[tuple[SpheroconalHarmonic, float]]) -> tuple[LadderTerm, ...]:
-    pairs = sorted(
-        pairs, key=lambda p: (p[0].ell, LABEL_ORDER.index(p[0].label), p[0].n1)
+@lru_cache(maxsize=1024)
+def _images(
+    op: str, ell: int, config: AsymmetryConfig, species_a: Species, species_b: Species
+) -> tuple[_Image, ...]:
+    """One operator on a degree-l species family: (target family, target x
+    source matrix) per nonempty target family, in ascending degree, column j
+    for source member j (sorted by n1). A failure is not cached.
+    """
+    sources = _family(ell, config, species_a, species_b)[0]
+    stack = np.stack([s.wavefunction.coeffs for s in sources])
+    psi = BiSnPoly(species_a, species_b, stack, config.k1sq, config.k2sq)
+    quotient = divide_by_scale(_bracket(op, psi))
+    context = op + " on {}"
+    if op[0] == "L":
+        blocks = [(ell, quotient.scaled(-1.0), context)]
+    else:
+        cosine = _mul(psi, *_COSINES[op[1]])
+        lowering = cosine.scaled(float(ell)).plus(quotient)
+        raising = cosine.plus(lowering.scaled(-1.0 / (2 * ell + 1)))
+        blocks = [
+            (ell - 1, lowering, context + " (lowering)"),
+            (ell + 1, raising, context + " (raising)"),
+        ]
+    images = [_expand(block, target, config, sources, ctx) for target, block, ctx in blocks]
+    return tuple(image for image in images if image)
+
+
+def _decomposition(
+    kind: str, axis: str, state: SpheroconalHarmonic, config: AsymmetryConfig | None
+) -> LadderDecomposition:
+    """The state's column of the operator's images on its family."""
+    op = kind + axis
+    cfg = _config_of(state, config)
+    sources = _family(state.ell, cfg, state.species_a, state.species_b)[0]
+    col = next(j for j, s in enumerate(sources) if s.n1 == state.n1)
+    terms = tuple(
+        LadderTerm(target=state_ref(t), coefficient=float(w))
+        for targets, matrix in _images(op, state.ell, cfg, state.species_a, state.species_b)
+        for t, w in zip(targets, matrix[:, col])
+        if w
     )
-    return tuple(LadderTerm(target=state_ref(s), coefficient=w) for s, w in pairs)
+    convention = L_CONVENTION if kind == "L" else P_CONVENTION
+    return LadderDecomposition(op, state_ref(state), terms, convention)
 
 
 def apply_angular_momentum(
@@ -338,24 +349,7 @@ def apply_angular_momentum(
     the expansion is validated slot by slot (ProjectionResidual on any
     leakage outside the paired eigenvalue slots).
     """
-    if axis not in "xyz" or len(axis) != 1:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    cfg = _config_of(state, config)
-    bracket = _angular_bracket(axis, state.wavefunction)
-    action = divide_by_scale(bracket).scaled(-1.0)
-    expected = species_transition("L" + axis, (state.species_a, state.species_b))
-    if (action.species_a, action.species_b) != expected:
-        raise AssertionError(
-            f"bracket produced species ({action.species_a.tag(1)}, "
-            f"{action.species_b.tag(2)}), expected {expected}"
-        )
-    terms = _expand(action, state.ell, cfg, f"L{axis} on {state_ref(state)}")
-    return LadderDecomposition(
-        operator="L" + axis,
-        source=state_ref(state),
-        terms=_sorted_terms(terms),
-        convention=L_CONVENTION,
-    )
+    return _decomposition("L", axis, state, config)
 
 
 def apply_linear_momentum(
@@ -368,27 +362,7 @@ def apply_linear_momentum(
     the direction cosine itself (coefficient 1 on the matching degree-1
     state).
     """
-    if axis not in "xyz" or len(axis) != 1:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-    cfg = _config_of(state, config)
-    ell = state.ell
-    psi = state.wavefunction
-
-    gradient = divide_by_scale(_linear_bracket(axis, psi))
-    la, lb = _COSINES[axis]
-    cosine = _mul(psi, (la, 1), (lb, 2))
-    lowering = cosine.scaled(float(ell)).plus(gradient)
-    raising = cosine.plus(lowering.scaled(-1.0 / (2 * ell + 1)))
-
-    context = f"P{axis} on {state_ref(state)}"
-    pairs = _expand(lowering, ell - 1, cfg, context + " (lowering)")
-    pairs += _expand(raising, ell + 1, cfg, context + " (raising)")
-    return LadderDecomposition(
-        operator="P" + axis,
-        source=state_ref(state),
-        terms=_sorted_terms(pairs),
-        convention=P_CONVENTION,
-    )
+    return _decomposition("P", axis, state, config)
 
 
 def linear_momentum_bracket(axis: str, state: SpheroconalHarmonic) -> BiSnPoly:
@@ -398,7 +372,7 @@ def linear_momentum_bracket(axis: str, state: SpheroconalHarmonic) -> BiSnPoly:
     the quantity tabulated by the grid oracle's Px/Py/Pz kinds. It equals
     (l+1)/(2l+1) * F - l * H in terms of the reported ladder groups.
     """
-    return divide_by_scale(_linear_bracket(axis, state.wavefunction))
+    return divide_by_scale(_bracket("P" + axis, state.wavefunction))
 
 
 def angular_momentum_matrix(

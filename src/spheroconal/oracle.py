@@ -17,7 +17,6 @@ import numpy as np
 
 from .asymmetry import AsymmetryConfig
 from .elliptic import jacobi, quarter_period
-from .errors import RankDeficient
 from .harmonics import SpheroconalHarmonic, evaluate
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "make_grid",
     "state_field",
     "fd_operator",
-    "fit_in_basis",
     "rotor_energies",
 ]
 
@@ -190,29 +188,6 @@ def fd_operator(kind: str, field: GridField, config: AsymmetryConfig) -> GridFie
     else:  # Pz
         out = (col(c1 * d1) * row(d2) * g1 - b * col(s1) * row(s2 * c2) * g2) / w
     return GridField(chi1, chi2, out)
-
-
-def fit_in_basis(field: GridField, basis: list[SpheroconalHarmonic]) -> tuple[np.ndarray, float]:
-    """Least-squares expansion of a sampled field over harmonic states.
-
-    Returns (coefficients, relative rms residual). Raises RankDeficient when
-    the Gram matrix condition number exceeds 1e10 (near-dependent columns).
-    """
-    if not basis:
-        raise ValueError("basis must contain at least one state")
-    columns = [evaluate(s, field.chi1, field.chi2).ravel() for s in basis]
-    design = np.column_stack(columns)
-    gram = design.T @ design
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e10:
-        raise RankDeficient(f"basis Gram condition number {cond:.3e} exceeds 1e10")
-    target = field.values.ravel()
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    norm = float(np.linalg.norm(target))
-    if norm == 0.0:
-        return coeffs, 0.0
-    residual = float(np.linalg.norm(design @ coeffs - target)) / norm
-    return coeffs, residual
 
 
 # ---------------------------------------------------------------------------

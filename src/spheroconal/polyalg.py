@@ -15,8 +15,10 @@ degree. P(0) = sum_s (-1)^s coeffs[s], so the eigenpolynomial normalization
 a0 = 1 means P(0) = 1.
 
 One axis kernel (``times_square``, ``chain_rule`` and the node transform of
-``divide_by_scale``) acts along axis 0 of a coefficient array; a polynomial
-in one coordinate is its one-column case, a block's second axis its transpose.
+``divide_by_scale``) acts on the rows of the last two axes of a coefficient
+array; a polynomial in one coordinate is its one-column case, a block's
+second axis its swapped view. Any leading axes stack blocks of one species
+pair, so a whole family goes through each kernel in one call.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class Species:
 
 
 # ---------------------------------------------------------------------------
-# The axis kernel: every function acts along axis 0 of a coefficient array.
+# The axis kernel: every function acts on the rows of the last two axes.
 
 
 @lru_cache(maxsize=128)
@@ -132,9 +134,9 @@ def _u_matrix(n: int) -> np.ndarray:
 def times_square(c: np.ndarray, letter: str, ksq: float) -> np.ndarray:
     """P times sn^2 = u, cn^2 = 1 - u or dn^2 = 1 - k^2 u (letter 's'/'c'/'d')."""
     const, slope = {"s": (0.0, 1.0), "c": (1.0, -1.0), "d": (1.0, -ksq)}[letter]
-    out = slope * (_u_matrix(c.shape[0]) @ c)
+    out = slope * (_u_matrix(c.shape[-2]) @ c)
     if const:
-        out[:-1] += const * c
+        out[..., :-1, :] += const * c
     return out
 
 
@@ -147,7 +149,7 @@ def chain_rule(c: np.ndarray, species: Species, ksq: float) -> np.ndarray:
     letter: its slope (1, -1, -k^2 for s, c, d) times the squares of the
     other present letters.
     """
-    return _chain_matrix(species, ksq, c.shape[0]) @ c
+    return _chain_matrix(species, ksq, c.shape[-2]) @ c
 
 
 @lru_cache(maxsize=256)
@@ -185,12 +187,13 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing rows and columns below 1e-12 of the largest coefficient."""
+    """Drop trailing rows and columns below 1e-12 of every block's largest coefficient."""
     mag = np.abs(c)
-    live = mag > _TRIM_RTOL * mag.max()
+    live = mag > _TRIM_RTOL * mag.max(axis=(-2, -1), keepdims=True)
+    live = live.reshape((-1,) + c.shape[-2:]).any(axis=0)
     rows = np.flatnonzero(live.any(axis=1))
     cols = np.flatnonzero(live.any(axis=0))
-    return c[: rows[-1] + 1 if rows.size else 1, : cols[-1] + 1 if cols.size else 1]
+    return c[..., : rows[-1] + 1 if rows.size else 1, : cols[-1] + 1 if cols.size else 1]
 
 
 def _vander(u, n: int) -> np.ndarray:
@@ -269,7 +272,8 @@ def mul_factor(p: SnPoly, letter: str) -> SnPoly:
     species = p.species.flipped(letter)
     if not getattr(p.species, f"has_{letter}"):
         return SnPoly(species, p.coeffs, p.ksq)
-    return SnPoly(species, times_square(np.asarray(p.coeffs), letter, p.ksq).tolist(), p.ksq)
+    q = times_square(np.asarray(p.coeffs)[:, None], letter, p.ksq)
+    return SnPoly(species, q[:, 0].tolist(), p.ksq)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,8 @@ class BiSnPoly:
     """Two-coordinate block: prefactors on both sides times P(u, v).
 
     ``coeffs[s, t]`` multiplies T_s(2u - 1) T_t(2v - 1) with
-    u = sn^2(chi1 | k1^2) and v = sn^2(chi2 | k2^2).
+    u = sn^2(chi1 | k1^2) and v = sn^2(chi2 | k2^2). Leading axes, if any,
+    stack blocks of one species pair for the algebra below.
     """
 
     species_a: Species
@@ -344,11 +349,12 @@ class BiSnPoly:
 def _side_op(p: BiSnPoly, axis: int, letters: str, kernel=None) -> BiSnPoly:
     """Toggle letters of one side's species; apply kernel(c, species, ksq) on its axis."""
     species, ksq = (p.species_a, p.k1sq) if axis == 0 else (p.species_b, p.k2sq)
-    coeffs = p.coeffs
+    coeffs = p.coeffs if axis == 0 else np.swapaxes(p.coeffs, -1, -2)
     if kernel is not None:
-        coeffs = kernel(coeffs, species, ksq) if axis == 0 else kernel(coeffs.T, species, ksq).T
+        coeffs = kernel(coeffs, species, ksq)
     if axis == 0:
         return BiSnPoly(species.flipped(letters), p.species_b, coeffs, p.k1sq, p.k2sq)
+    coeffs = np.swapaxes(coeffs, -1, -2)
     return BiSnPoly(p.species_a, species.flipped(letters), coeffs, p.k1sq, p.k2sq)
 
 
@@ -380,12 +386,12 @@ def divide_by_scale(p: BiSnPoly) -> BiSnPoly:
     matrix; in values at the Chebyshev nodes of each axis (see
     ``_node_transform``) that is one pointwise division by W. Multiplying
     back verifies it: a remainder above 1e-10 of the dividend scale raises
-    NotDivisible. The same remainder, restricted to the dividend's shape,
-    gives one refinement step.
+    NotDivisible, per block of a stack. The same remainder, restricted to the
+    dividend's shape, gives one refinement step.
     """
     a, b = p.k1sq, p.k2sq
     c = p.coeffs
-    ns, nt = c.shape
+    ns, nt = c.shape[-2:]
     fwd_u, inv_u = _node_transform(ns)
     fwd_v, inv_v = _node_transform(nt)
     # W at the nodes, transformed from its coefficients like the dividend
@@ -400,19 +406,21 @@ def divide_by_scale(p: BiSnPoly) -> BiSnPoly:
 
     q = _trim(solve(c))
     # multiply back: W * Q has one extra degree in each variable
-    m, n = q.shape
-    wq = np.zeros((ns + 1, nt + 1))
-    wq[:m, :n] += q
-    wq[:ns, :nt] -= c
-    wq[: m + 1, :n] -= a * (_u_matrix(m) @ q)
-    wq[:m, : n + 1] -= b * (q @ _u_matrix(n).T)
-    scale = max(float(np.abs(c).max()), float(np.abs(q).max()), 1.0)
-    worst = float(np.abs(wq).max())
-    if not np.isfinite(worst) or worst > 1e-10 * scale:
+    m, n = q.shape[-2:]
+    wq = np.zeros(c.shape[:-2] + (ns + 1, nt + 1))
+    wq[..., :m, :n] += q
+    wq[..., :ns, :nt] -= c
+    wq[..., : m + 1, :n] -= a * (_u_matrix(m) @ q)
+    wq[..., :m, : n + 1] -= b * (q @ _u_matrix(n).T)
+    worst, cmax, qmax = (np.abs(x).max(axis=(-2, -1)) for x in (wq, c, q))
+    scale = np.maximum(np.maximum(cmax, qmax), 1.0)
+    failed = np.flatnonzero(~(worst <= 1e-10 * scale))  # a NaN fails too
+    if failed.size:
+        i = failed[0]
         raise NotDivisible(
-            f"remainder {worst:.3e} exceeds 1e-10 of scale {scale:.3e}"
+            f"remainder {worst.flat[i]:.3e} exceeds 1e-10 of scale {scale.flat[i]:.3e}"
         )
-    q = _add(q, -solve(wq[:ns, :nt]))
+    q = _add(q, -solve(wq[..., :ns, :nt]))
     return BiSnPoly(p.species_a, p.species_b, q, p.k1sq, p.k2sq).trimmed()
 
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from spheroconal.harmonics import evaluate
+
 # Side-1 species tags per degree, in the order the closed forms below use.
 SIDE1_TAGS = {
     0: ("1",),
@@ -292,3 +294,23 @@ def linear_l1_alphas(k1):
     alpha20 = -0.5 + h2a / 4.0 - h0b / 4.0
     gamma20 = -0.5 - h2a / 4.0 + h0b / 4.0
     return alpha02, gamma02, alpha20, gamma20
+
+
+def fit_in_basis(field, basis):
+    """Least-squares expansion of a sampled field over harmonic states.
+
+    Returns (coefficients, relative rms residual). Raises ValueError when
+    the Gram matrix condition number exceeds 1e10 (near-dependent columns).
+    """
+    if not basis:
+        raise ValueError("basis must contain at least one state")
+    design = np.column_stack([evaluate(s, field.chi1, field.chi2).ravel() for s in basis])
+    cond = np.linalg.cond(design.T @ design)
+    if not np.isfinite(cond) or cond > 1e10:
+        raise ValueError(f"basis Gram condition number {cond:.3e} exceeds 1e10")
+    target = field.values.ravel()
+    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+    norm = float(np.linalg.norm(target))
+    if norm == 0.0:
+        return coeffs, 0.0
+    return coeffs, float(np.linalg.norm(design @ coeffs - target)) / norm

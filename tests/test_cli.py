@@ -349,11 +349,35 @@ def test_verify_fails_a_nan_invariant(capsys, monkeypatch, fmt):
     code, out, err = run_cli(capsys, "verify", "--e1", "0.75", "--lmax", "2", "--format", fmt)
     assert code == 1
     assert err == "failed invariants: commutators, squared-momentum-closure\n"
-    by_name = {r["invariant"]: r for r in json.loads(out)["invariants"]}
-    for name in ("commutators", "squared-momentum-closure"):
-        assert by_name[name]["passed"] is False
-        assert by_name[name]["worst"] is None
-    assert by_name["divisibility"]["passed"] is True
+    if fmt == "json":
+        by_name = {r["invariant"]: r for r in json.loads(out)["invariants"]}
+        for name in ("commutators", "squared-momentum-closure"):
+            assert by_name[name]["passed"] is False
+            assert by_name[name]["worst"] is None
+        assert by_name["divisibility"]["passed"] is True
+    else:
+        by_name = {r["invariant"]: r for r in csv.DictReader(io.StringIO(out))}
+        for name in ("commutators", "squared-momentum-closure"):
+            assert by_name[name]["passed"] == "False"
+            assert by_name[name]["worst"] == ""
+        assert by_name["divisibility"]["passed"] == "True"
+
+
+def test_verify_csv_rows_match_the_json_invariants(capsys):
+    argv = ("verify", "--e1", "0.75", "--lmax", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    invariants = json.loads(out)["invariants"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0]) == ["invariant", "passed", "worst", "detail"]
+    assert len(rows) == len(invariants) == 6
+    for row, want in zip(rows, invariants):
+        assert row["invariant"] == want["invariant"]
+        assert row["passed"] == str(want["passed"])
+        assert float(row["worst"]) == want["worst"]
+        assert row["detail"] == want["detail"]
 
 
 def test_verify_checks_commutators_above_degree_4(capsys, monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 
 from spheroconal import harmonics, lame_solver, ladder
 from spheroconal.asymmetry import e1_from_modulus, from_e1, from_moments
-from spheroconal.errors import LadderEnd, Singular
-from spheroconal.harmonics import build_basis
+from spheroconal.errors import LadderEnd, ProjectionResidual, Singular
+from spheroconal.harmonics import LABEL_ORDER, build_basis, label_for_species
 from spheroconal.ladder import (
     L_CONVENTION,
     P_CONVENTION,
@@ -21,11 +21,11 @@ from spheroconal.ladder import (
     species_transition,
     state_ref,
 )
-from spheroconal.oracle import fd_operator, fit_in_basis, make_grid, state_field
-from spheroconal.polyalg import Species, divide_by_scale, invert_basis
+from spheroconal.oracle import fd_operator, make_grid, state_field
+from spheroconal.polyalg import BiSnPoly, Species, divide_by_scale, invert_basis
 from spheroconal.elliptic import jacobi
 
-from _forms import h2pair, linear_l1_alphas
+from _forms import fit_in_basis, h2pair, linear_l1_alphas
 
 # Expected angular actions on the degree-1 states: nine entries, all 0 or +-1.
 DEGREE1_ANGULAR = {
@@ -178,6 +178,16 @@ def test_axis_validation(mid_config):
         apply_angular_momentum("w", state, mid_config)
     with pytest.raises(ValueError, match="axis must be"):
         apply_linear_momentum("xy", state, mid_config)
+
+
+def test_config_of_another_asymmetry_is_refused(mid_config):
+    state = build_basis(3, mid_config)[0]
+    other = from_e1(0.9)
+    for apply in (apply_angular_momentum, apply_linear_momentum):
+        with pytest.raises(ValueError, match="k1sq"):
+            apply("x", state, other)
+    with pytest.raises(ValueError, match="k1sq"):
+        shift_nodes(state, +1, other)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +388,10 @@ def _scratch_expand(block, ell, cfg) -> dict:
 def _scratch_terms(op, state, cfg) -> dict:
     psi, ell, axis = state.wavefunction, state.ell, op[1]
     if op[0] == "L":
-        action = divide_by_scale(ladder._angular_bracket(axis, psi)).scaled(-1.0)
+        action = divide_by_scale(ladder._bracket(op, psi)).scaled(-1.0)
         return _scratch_expand(action, ell, cfg)
     la, lb = ladder._COSINES[axis]
-    cosine = ladder._mul(psi, (la, 1), (lb, 2))
+    cosine = ladder._mul(psi, la, lb)
     lowering = cosine.scaled(float(ell)).plus(linear_momentum_bracket(axis, state))
     raising = cosine.plus(lowering.scaled(-1.0 / (2 * ell + 1)))
     return {**_scratch_expand(lowering, ell - 1, cfg), **_scratch_expand(raising, ell + 1, cfg)}
@@ -411,6 +421,7 @@ def test_failing_decomposition_fails_on_every_call(monkeypatch):
     cfg = from_e1(0.5713)
     (state,) = [s for s in build_basis(3, cfg) if s.label == "xyz"]
     ladder._family.cache_clear()
+    ladder._images.cache_clear()
     calls = []
 
     def singular(matrix):
@@ -432,17 +443,68 @@ def test_caches_stay_bounded_over_a_long_sweep():
         lame_solver._eigenpolynomials,
         harmonics._build_basis_cached,
         ladder._family,
+        ladder._images,
     )
     for e1 in np.linspace(0.56, 0.94, 360):
         cfg = from_e1(float(e1))
         for state in build_basis(1, cfg):
-            ladder._family(1, cfg, state.species_a, state.species_b)
+            ladder._images("Lx", 1, cfg, state.species_a, state.species_b)
     for cache in caches:
         info = cache.cache_info()
         # 360 fresh asymmetries add 2880 eigenvalue solves, 2160 polynomial
-        # solves (the families read every member's polynomials), 360 bases
-        # and 1080 families.
+        # solves (the families read every member's polynomials), 360 bases,
+        # 1080 families and 1080 images.
         assert info.currsize == info.maxsize
+
+
+def test_image_cache_holds_a_ladder_table_round():
+    # Six operators on the 4 families of each degree (3 at degree 1), over
+    # degrees 1..13 at two asymmetries and 14..16 at two more: 756 images.
+    assert ladder._images.cache_info().maxsize >= 6 * (2 * (3 + 4 * 12) + 2 * 4 * 3)
+
+
+def test_stray_weight_names_the_failing_member(monkeypatch):
+    cfg = from_e1(0.6123)
+    family = sorted((s for s in build_basis(4, cfg) if s.label == "1"), key=lambda s: s.n1)
+    real = ladder.divide_by_scale
+
+    def leaky(p):
+        q = real(p)
+        coeffs = q.coeffs.copy()
+        coeffs[1, 0, 0] += 0.5  # a constant lands on every slot
+        return BiSnPoly(q.species_a, q.species_b, coeffs, q.k1sq, q.k2sq)
+
+    monkeypatch.setattr(ladder, "divide_by_scale", leaky)
+    for state in family:
+        with pytest.raises(ProjectionResidual, match="unpaired") as info:
+            apply_angular_momentum("z", state, cfg)
+        assert str(info.value).startswith(f"Lz on {state_ref(family[1])}: weight")
+    monkeypatch.undo()
+    assert all(apply_angular_momentum("z", s, cfg).terms for s in family)
+
+
+def test_family_images_match_one_block_expansions_over_the_range():
+    """Both ends of one family per label at degrees 16, 32 and 50, at
+    e1 = 0.5001, 0.55 and 0.9999: every operator's family-batched terms equal
+    the one-block expansion's, within 1e-11 of the largest coefficient, and
+    land in the operator's species transition."""
+    for e1 in (0.5001, 0.55, 0.9999):
+        cfg = from_e1(e1)
+        for ell in (16, 32, 50):
+            basis = build_basis(ell, cfg)
+            for label in LABEL_ORDER:
+                family = [s for s in basis if s.label == label]
+                for state in family[:: max(len(family) - 1, 1)]:
+                    for op in OPS:
+                        got = term_map(_decompose(op, state, cfg))
+                        want = _scratch_terms(op, state, cfg)
+                        where = (e1, op, state_ref(state))
+                        assert got.keys() == want.keys(), where
+                        scale = max((abs(w) for w in want.values()), default=1.0)
+                        for key, w in want.items():
+                            assert abs(got[key] - w) <= 1e-11 * scale, (where, key)
+                        pair = species_transition(op, (state.species_a, state.species_b))
+                        assert {key[1] for key in got} <= {label_for_species(pair[0])}, where
 
 
 def test_every_op_succeeds_at_degrees_14_to_16():

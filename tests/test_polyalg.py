@@ -255,6 +255,62 @@ def test_divide_by_scale_failures():
 
 
 # ---------------------------------------------------------------------------
+# Stacks of blocks
+
+
+def stacked(blocks):
+    first = blocks[0]
+    coeffs = np.stack([b.coeffs for b in blocks])
+    return BiSnPoly(first.species_a, first.species_b, coeffs, first.k1sq, first.k2sq)
+
+
+def padded(c, shape):
+    return np.pad(c, [(0, n - m) for n, m in zip(shape, c.shape)])
+
+
+def test_stack_kernels_match_per_block_results():
+    rng = np.random.default_rng(12)
+    blocks = [random_block(rng, shape=(4, 3)) for _ in range(3)]
+    # A huge block of small extent between two full ones: each block is
+    # trimmed against its own largest coefficient, not the stack's.
+    blocks[1] = BiSnPoly(
+        blocks[1].species_a, blocks[1].species_b, padded(1e13 * blocks[1].coeffs[:2, :2], (4, 3)),
+        0.3, 0.7,
+    )
+    ops = {
+        "d_chi1": d_chi1,
+        "d_chi2": d_chi2,
+        "s on side 1": lambda p: mul_factor_bi(p, "s", 1),
+        "d on side 1": lambda p: mul_factor_bi(p, "d", 1),
+        "d on side 2": lambda p: mul_factor_bi(p, "d", 2),
+        "W-division": divide_by_scale,
+    }
+    for name, op in ops.items():
+        inputs = [multiply_by_scale(b) for b in blocks] if name == "W-division" else blocks
+        stack = op(stacked(inputs))
+        assert stack.coeffs.ndim == 3
+        for k, block in enumerate(inputs):
+            one = op(block)
+            assert (stack.species_a, stack.species_b) == (one.species_a, one.species_b)
+            shape = np.maximum(stack.coeffs[k].shape, one.coeffs.shape)
+            gap = padded(stack.coeffs[k], shape) - padded(one.coeffs, shape)
+            assert np.abs(gap).max() <= 1e-14 * one.max_abs, (name, k)
+
+
+def test_stack_division_fails_on_one_bad_block():
+    rng = np.random.default_rng(13)
+    good = [multiply_by_scale(random_block(rng)) for _ in range(3)]
+    bad = BiSnPoly(good[1].species_a, good[1].species_b, rng.uniform(-1.0, 1.0, (4, 4)), 0.3, 0.7)
+    with pytest.raises(NotDivisible, match="remainder"):
+        divide_by_scale(stacked([good[0], bad, good[2]]))
+    nan = np.array(good[2].coeffs)
+    nan[0, 0] = np.nan
+    poisoned = BiSnPoly(good[2].species_a, good[2].species_b, nan, 0.3, 0.7)
+    with pytest.raises(NotDivisible, match="remainder"):
+        divide_by_scale(stacked([good[0], good[1], poisoned]))
+
+
+# ---------------------------------------------------------------------------
 # Basis inversion
 
 
